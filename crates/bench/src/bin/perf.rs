@@ -13,13 +13,9 @@
 //! * `f3_hc16_static` — same machine under static space-sharing;
 //! * `f3_hc16_hybrid` — time-sharing capped at MPL 4 (the paper's hybrid
 //!   discipline), which drives the slice-timer cancel path hardest;
-//! * `f3_hc16_ts_calendar` — the headline with the calendar event queue,
-//!   to keep the queue-backend decision honest;
-//! * `queue_hold_{heap,cal}_n{64,4096}` — bare event-queue hold model
-//!   (pop-then-push at a steady population), the classic queue benchmark;
-//! * `queue_hold_wheel_n{64,4096}` — the same hold model against the
-//!   timing wheel, with a cancel+replace every fourth round to exercise
-//!   the handle path no comparison-based backend has;
+//! * `queue_hold_heap_n{64,4096}` — the bare future-event heap under the
+//!   hold model (pop-then-push at a steady population), the classic queue
+//!   benchmark;
 //! * `shard_scale_{seq,s2,s4}` — the conservative-parallel runner on a
 //!   64-node machine of four 16-node hypercube partitions (the 16-node
 //!   paper machine is a single partition and cannot shard): the same
@@ -57,7 +53,8 @@
 //!
 //! `--check` is the CI mode (`scripts/tier1.sh`): one untimed run of the
 //! f3 scenarios, verified bit-identical against the goldens; exits
-//! non-zero on any mismatch or if no goldens are recorded. `--quick`
+//! non-zero on any mismatch, if no goldens are recorded, or if a golden
+//! or baseline names no defined scenario. `--quick`
 //! drops the batch repetition count to 1 — every repetition simulates the
 //! identical batch, so the golden comparison is unaffected and the gate
 //! runs in a couple of seconds.
@@ -70,20 +67,14 @@ use parsched_des::prelude::*;
 use parsched_machine::JobSpec;
 use parsched_topology::TopologyKind;
 use parsched_workload::prelude::*;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// `--quick`: time/check one repetition of the f3 batch instead of
 /// [`F3_REPS`] (bit-identical simulated results, ~10x less wall time).
 static QUICK: AtomicBool = AtomicBool::new(false);
 
-fn f3_config(
-    policy: PolicyKind,
-    queue: QueueKind,
-    mpl: Option<usize>,
-) -> (ExperimentConfig, Vec<JobSpec>) {
+fn f3_config(policy: PolicyKind, mpl: Option<usize>) -> (ExperimentConfig, Vec<JobSpec>) {
     let cfg = ExperimentConfig {
-        queue,
         mpl,
         ..ExperimentConfig::paper(16, TopologyKind::Hypercube { dim: 0 }, policy)
     };
@@ -101,12 +92,8 @@ fn f3_config(
 /// reliably; every timed iteration repeats it this many times.
 const F3_REPS: u32 = 10;
 
-fn run_f3(policy: PolicyKind, queue: QueueKind) -> f64 {
-    run_f3_mpl(policy, queue, None)
-}
-
-fn run_f3_mpl(policy: PolicyKind, queue: QueueKind, mpl: Option<usize>) -> f64 {
-    let (cfg, batch) = f3_config(policy, queue, mpl);
+fn run_f3(policy: PolicyKind, mpl: Option<usize>) -> f64 {
+    let (cfg, batch) = f3_config(policy, mpl);
     let reps = if QUICK.load(Ordering::Relaxed) { 1 } else { F3_REPS };
     let mut metric = 0.0;
     for _ in 0..reps {
@@ -200,10 +187,11 @@ fn run_tscale(cell: Cell4k, point: ScalePoint, switching: Switching, shards: usi
     std::hint::black_box(r.mean_response())
 }
 
-/// Classic hold-model queue benchmark: fill to `n`, then `ops` rounds of
-/// pop-one push-one with an exponential-ish increment, which keeps the
-/// population (and for the calendar queue, the bucket occupancy) steady.
-fn queue_hold<Q: EventQueue<u64>>(mut q: Q, n: u64, ops: u64) -> f64 {
+/// Classic hold-model queue benchmark on the future-event heap: fill to
+/// `n`, then `ops` rounds of pop-one push-one with a uniform increment,
+/// which keeps the population steady.
+fn queue_hold(n: u64, ops: u64) -> f64 {
+    let mut q = BinaryHeapQueue::new();
     let mut rng = DetRng::new(0xBE7C);
     let mut seq = 0u64;
     for _ in 0..n {
@@ -226,46 +214,6 @@ fn queue_hold<Q: EventQueue<u64>>(mut q: Q, n: u64, ops: u64) -> f64 {
         });
     }
     acc as f64 // fold into the metric slot so the work cannot be elided
-}
-
-/// Hold model against the [`TimerWheel`]: pop-one push-one at a steady
-/// population, plus a cancel-and-replace every fourth round against a ring
-/// of recently issued handles — the slice-timer churn pattern the machine
-/// layer produces (timers are usually cancelled soon after being set).
-/// Deltas spread over ~270 ms so the population spans many slots and both
-/// wheel levels, not one degenerate sorted run.
-fn queue_hold_wheel(n: u64, ops: u64) -> f64 {
-    let mut rng = DetRng::new(0xBE7C);
-    let mut w: TimerWheel<u64> = TimerWheel::new();
-    let mut recent: VecDeque<TimerHandle> = VecDeque::with_capacity(16);
-    let mut seq = 0u64;
-    for _ in 0..n {
-        seq += 1;
-        w.insert(SimTime(rng.uniform_u64(0, 1 << 28)), seq, seq);
-    }
-    let mut acc = 0u64;
-    for i in 0..ops {
-        let head = w.pop_min().expect("population is steady");
-        let now = head.time.nanos();
-        acc = acc.wrapping_add(now);
-        seq += 1;
-        let h = w.insert(SimTime(now + rng.uniform_u64(1, 1 << 28)), seq, seq);
-        if recent.len() == 16 {
-            recent.pop_front();
-        }
-        recent.push_back(h);
-        if i % 4 == 0 {
-            if let Some(h) = recent.pop_front() {
-                // The handle may have fired already; only a live cancel is
-                // replaced, keeping the population steady.
-                if w.cancel(h) {
-                    seq += 1;
-                    w.insert(SimTime(now + rng.uniform_u64(1, 1 << 28)), seq, seq);
-                }
-            }
-        }
-    }
-    acc as f64
 }
 
 struct Scenario {
@@ -340,39 +288,20 @@ fn scenarios() -> Vec<Scenario> {
     }
     let mut v = vec![
         light("f3_hc16_ts", true, Some(16), || {
-            Some(run_f3(PolicyKind::TimeSharing, QueueKind::default()))
+            Some(run_f3(PolicyKind::TimeSharing, None))
         }),
         light("f3_hc16_static", true, Some(16), || {
-            Some(run_f3(PolicyKind::Static, QueueKind::default()))
+            Some(run_f3(PolicyKind::Static, None))
         }),
         light("f3_hc16_hybrid", true, Some(16), || {
-            Some(run_f3_mpl(PolicyKind::TimeSharing, QueueKind::default(), Some(4)))
-        }),
-        light("f3_hc16_ts_calendar", false, Some(16), || {
-            Some(run_f3(PolicyKind::TimeSharing, QueueKind::Calendar))
+            Some(run_f3(PolicyKind::TimeSharing, Some(4)))
         }),
         light("queue_hold_heap_n64", false, None, || {
-            queue_hold(BinaryHeapQueue::new(), 64, 2_000_000);
-            None
-        }),
-        light("queue_hold_cal_n64", false, None, || {
-            queue_hold(CalendarQueue::new(), 64, 2_000_000);
+            queue_hold(64, 2_000_000);
             None
         }),
         light("queue_hold_heap_n4096", false, None, || {
-            queue_hold(BinaryHeapQueue::new(), 4096, 2_000_000);
-            None
-        }),
-        light("queue_hold_cal_n4096", false, None, || {
-            queue_hold(CalendarQueue::new(), 4096, 2_000_000);
-            None
-        }),
-        light("queue_hold_wheel_n64", false, None, || {
-            queue_hold_wheel(64, 2_000_000);
-            None
-        }),
-        light("queue_hold_wheel_n4096", false, None, || {
-            queue_hold_wheel(4096, 2_000_000);
+            queue_hold(4096, 2_000_000);
             None
         }),
     ];
@@ -466,6 +395,16 @@ fn main() {
             std::process::exit(2);
         }
         let mut failed = false;
+        // A golden or baseline must name a defined scenario: a deleted or
+        // renamed scenario may not leave a stale pin behind.
+        for (what, pins) in [("golden", &report.golden), ("baseline", &report.baseline)] {
+            for name in pins.keys() {
+                if !scenarios.iter().any(|sc| &sc.name == name) {
+                    eprintln!("perf --check: {what} {name:?} names no defined scenario");
+                    failed = true;
+                }
+            }
+        }
         for sc in scenarios.iter().filter(|sc| sc.pinned && (heavy || !sc.heavy)) {
             let got = (sc.run)().expect("pinned scenarios return a metric");
             match report.golden.get(&sc.name) {

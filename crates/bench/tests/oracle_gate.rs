@@ -1,14 +1,13 @@
 //! Differential gate for the benchmarked configurations.
 //!
 //! `src/bin/perf.rs` times the F3 cell (16-node hypercube, full paper
-//! batch) under every queue backend and pins its simulated result in the
-//! golden map — so a hot-path "optimization" that changes *behavior* would
-//! show up there as a golden drift. This test closes the loop from the
-//! other side: the exact same configurations must also be bit-identical to
-//! the naive reference engine, for every backend the perf harness times.
+//! batch) and pins its simulated result in the golden map — so a hot-path
+//! "optimization" that changes *behavior* would show up there as a golden
+//! drift. This test closes the loop from the other side: the exact same
+//! configurations must also be bit-identical to the naive reference
+//! engine.
 
 use parsched_core::{Discipline, Placement};
-use parsched_des::QueueKind;
 use parsched_machine::{FaultPlan, Switching};
 use parsched_oracle::{run_differential, Order, PolicyClass, Scenario};
 use parsched_topology::TopologyKind;
@@ -17,7 +16,7 @@ use parsched_workload::{App, Arch, BatchSizes};
 /// The F3 benchmark cell as a differential scenario: identical to
 /// `f3_config` in `src/bin/perf.rs` (paper config on the 16-node
 /// hypercube, default batch sizes, as-given order).
-fn f3_scenario(class: PolicyClass, queue: QueueKind, mpl: Option<usize>) -> Scenario {
+fn f3_scenario(class: PolicyClass, mpl: Option<usize>) -> Scenario {
     Scenario {
         case: 0,
         seed: 0,
@@ -29,7 +28,6 @@ fn f3_scenario(class: PolicyClass, queue: QueueKind, mpl: Option<usize>) -> Scen
         arch: Arch::Fixed,
         sizes: BatchSizes::default(),
         order: Order::AsGiven,
-        queue,
         switching: Switching::PacketizedSaf,
         discipline: Discipline::Uncoordinated,
         placement: Placement::RoundRobin,
@@ -43,12 +41,10 @@ fn f3_scenario(class: PolicyClass, queue: QueueKind, mpl: Option<usize>) -> Scen
 #[test]
 fn benchmarked_f3_cells_match_the_oracle() {
     for class in [PolicyClass::Static, PolicyClass::PureTs] {
-        for queue in [QueueKind::BinaryHeap, QueueKind::Calendar, QueueKind::Adaptive] {
-            let scenario = f3_scenario(class, queue, None);
-            assert_eq!(scenario.config().policy, class.policy());
-            if let Err(div) = run_differential(&scenario) {
-                panic!("benchmarked cell ({class:?}, {queue:?}) diverged:\n{div}");
-            }
+        let scenario = f3_scenario(class, None);
+        assert_eq!(scenario.config().policy, class.policy());
+        if let Err(div) = run_differential(&scenario) {
+            panic!("benchmarked cell {class:?} diverged:\n{div}");
         }
     }
 }
@@ -56,7 +52,7 @@ fn benchmarked_f3_cells_match_the_oracle() {
 #[test]
 fn benchmarked_mpl_cell_matches_the_oracle() {
     // perf.rs also times the MPL-bounded time-sharing variant.
-    let scenario = f3_scenario(PolicyClass::PureTs, QueueKind::Adaptive, Some(2));
+    let scenario = f3_scenario(PolicyClass::PureTs, Some(2));
     if let Err(div) = run_differential(&scenario) {
         panic!("benchmarked MPL cell diverged:\n{div}");
     }

@@ -39,7 +39,7 @@ pub struct ExperimentConfig {
     pub mpl: Option<usize>,
     /// Machine timing parameters.
     pub machine: MachineConfig,
-    /// Engine backend.
+    /// Engine pending-event set ([`QueueKind`] has one variant).
     pub queue: QueueKind,
 }
 

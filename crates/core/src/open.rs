@@ -19,7 +19,7 @@
 //!
 //! Everything is driven by the in-tree deterministic RNG: the same seed
 //! replays the same arrivals, the same demands, and therefore the same
-//! simulation, event for event, on any engine backend.
+//! simulation, event for event, on either engine.
 
 use crate::driver::{Driver, EntryRecord};
 use crate::experiment::{ExperimentConfig, RunError};

@@ -346,7 +346,7 @@ fn run_free(
         drivers.push(driver);
     }
 
-    let mut sharded: ShardedEngine<Event> = ShardedEngine::new(k, config.queue, lookahead);
+    let mut sharded: ShardedEngine<Event> = ShardedEngine::new(k, lookahead);
     for (s, driver) in drivers.iter_mut().enumerate() {
         let engine = sharded.shard_mut(s);
         engine.max_events = config.machine.max_events;

@@ -6,10 +6,8 @@
 //! [`Engine::run`]. The engine is deliberately dumb: it knows nothing about
 //! nodes, processes, or messages — only timestamps and opaque events.
 
-use crate::queue::{AdaptiveQueue, BinaryHeapQueue, CalendarQueue, EventQueue, Scheduled};
+use crate::queue::{pack, BinaryHeapQueue, Scheduled};
 use crate::time::{SimDuration, SimTime};
-use crate::timers::AdaptiveTimers;
-use crate::wheel::TimerHandle;
 use std::collections::VecDeque;
 
 /// A simulation model: consumes events, may schedule more via the
@@ -17,7 +15,7 @@ use std::collections::VecDeque;
 ///
 /// `handle` is generic over the scheduler so a model written once runs
 /// unchanged under any engine that can provide the scheduling contract —
-/// the optimized three-tier [`Engine`] in this crate or the naive
+/// the optimized two-tier [`Engine`] in this crate or the naive
 /// reference engine in `parsched-oracle`. Monomorphization keeps the hot
 /// path free of dynamic dispatch.
 pub trait Model {
@@ -80,8 +78,8 @@ pub trait EventScheduler<E> {
     /// fires in exactly the same global order — but it supports `O(1)`
     /// [cancellation](Self::cancel_timer). Use it for events that are
     /// usually invalidated before they fire (quantum expiries, timeout
-    /// guards) so they leave the pending set instead of being popped and
-    /// discarded.
+    /// guards): a cancelled timer never reaches the model and is never
+    /// counted as processed.
     fn schedule_timer(&mut self, delay: SimDuration, event: E) -> TimerHandle {
         let at = self.now() + delay;
         self.schedule_timer_at(at, event)
@@ -112,16 +110,15 @@ impl<E> EventSeeder<E> for Engine<E> {
 
 /// Handle through which a model schedules future events during `handle`.
 ///
-/// New events go straight into the engine's pending-event tiers — the
-/// now-queue for the current instant, the backend queue for the future, the
-/// [`AdaptiveTimers`] store for cancellable timers — with no intermediate
-/// buffering. All three tiers order by the same `(time, seq)` key, so the
-/// pop order is identical to what a single buffered queue would give.
+/// New events go straight into the engine's two pending-event tiers — the
+/// now-queue for the current instant, the future-event heap for everything
+/// later, cancellable timers included — with no intermediate buffering.
+/// Both tiers order by the same `(time, seq)` key, so the pop order is
+/// identical to what a single buffered queue would give.
 pub struct Scheduler<'w, E> {
     now: SimTime,
     next_seq: u64,
-    timers: &'w mut AdaptiveTimers<E>,
-    queue: &'w mut Backend<E>,
+    future: &'w mut FutureEvents<E>,
     now_queue: &'w mut VecDeque<Scheduled<E>>,
     pause: bool,
 }
@@ -141,11 +138,11 @@ impl<E> EventScheduler<E> for Scheduler<'_, E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         if time == self.now {
-            // Zero-delay bypass: stays out of the backend queue, FIFO
-            // (= seq) order preserved.
+            // Zero-delay bypass: stays out of the heap, FIFO (= seq) order
+            // preserved.
             self.now_queue.push_back(Scheduled { time, seq, event });
         } else {
-            self.queue.push(Scheduled { time, seq, event });
+            self.future.push(time, seq, event);
         }
     }
 
@@ -157,15 +154,15 @@ impl<E> EventScheduler<E> for Scheduler<'_, E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.timers.insert(time, seq, event)
+        self.future.push_timer(time, seq, event)
     }
 
     fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
-        self.timers.cancel(handle)
+        self.future.cancel(handle)
     }
 
     fn timer_count(&self) -> usize {
-        self.timers.len()
+        self.future.timer_count()
     }
 
     fn request_pause(&mut self) {
@@ -173,62 +170,167 @@ impl<E> EventScheduler<E> for Scheduler<'_, E> {
     }
 }
 
-/// Which pending-event set backend an [`Engine`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which pending-event set an [`Engine`] uses. There is one: the
+/// now-queue plus the future-event heap. The enum stays so configurations
+/// that name a backend ([`Engine::new`]'s argument) keep working.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
-    /// Binary heap (`O(log n)`; fastest for small pending sets).
+    /// The 4-ary future-event heap ([`BinaryHeapQueue`]).
+    #[default]
     BinaryHeap,
-    /// Calendar queue (`O(1)` amortized for stationary event populations).
-    Calendar,
-    /// Heap that migrates to a calendar past the measured crossover and
-    /// back (the default; see the
-    /// [queue module docs](crate::queue#the-adaptive-heuristic)).
-    Adaptive,
 }
 
-impl Default for QueueKind {
-    /// The backend used when callers have no reason to choose: the
-    /// adaptive queue, which is a heap while the pending set is small (the
-    /// paper's workloads) and a calendar once it is not, so the choice no
-    /// longer depends on the workload.
-    fn default() -> Self {
-        QueueKind::Adaptive
+/// A claim ticket for a pending timer, returned by
+/// [`EventScheduler::schedule_timer`].
+///
+/// Handles are `Copy` and cheap to store. A handle names the timer's
+/// packed `(time, seq)` key and, on [`Engine`], the slab slot that records
+/// the timer as live. Sequence numbers are never reused, so cancelling a
+/// timer that already fired or was already cancelled — even one whose slot
+/// now holds a newer timer — is detected and never affects an unrelated
+/// timer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerHandle {
+    key: u128,
+    slot: u32,
+}
+
+impl TimerHandle {
+    /// Build a handle for an engine that tracks timers by key alone (the
+    /// differential oracle's flat heap). It names no slot, so passing it
+    /// to an [`Engine`] cancels nothing.
+    pub fn external(key: u128) -> TimerHandle {
+        TimerHandle { key, slot: NO_SLOT }
+    }
+
+    /// The packed `(time, seq)` key this handle refers to.
+    pub fn key(&self) -> u128 {
+        self.key
     }
 }
 
-enum Backend<E> {
-    Heap(BinaryHeapQueue<E>),
-    Calendar(CalendarQueue<E>),
-    Adaptive(AdaptiveQueue<E>),
+/// Slot of a heap entry that is not a timer.
+const NO_SLOT: u32 = u32::MAX;
+/// Content of a free timer slot; sequence numbers never reach it.
+const FREE: u64 = u64::MAX;
+
+/// A future-event heap entry: the payload plus, for a timer, its slot.
+struct Entry<E> {
+    slot: u32,
+    event: E,
 }
 
-impl<E> Backend<E> {
-    fn push(&mut self, item: Scheduled<E>) {
-        match self {
-            Backend::Heap(q) => q.push(item),
-            Backend::Calendar(q) => q.push(item),
-            Backend::Adaptive(q) => q.push(item),
+/// Every event scheduled past the current instant, timers included, in one
+/// heap, with lazy timer cancellation.
+///
+/// Each timer holds a slot in a small slab that records the seq of the
+/// live timer occupying it. Cancelling frees the slot; the heap entry
+/// stays behind as a *corpse* and is dropped when it reaches the top
+/// (its slot no longer holds its seq). Freed slots are reused, so the slab
+/// is as large as the most timers ever live at once.
+struct FutureEvents<E> {
+    heap: BinaryHeapQueue<Entry<E>>,
+    /// Per slot: the seq of the live timer holding it, or [`FREE`].
+    slots: Vec<u64>,
+    /// Free slot indices.
+    free: Vec<u32>,
+    /// Cancelled timers whose corpses are still in the heap.
+    corpses: usize,
+}
+
+impl<E> FutureEvents<E> {
+    fn new() -> Self {
+        FutureEvents {
+            heap: BinaryHeapQueue::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            corpses: 0,
         }
     }
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        match self {
-            Backend::Heap(q) => q.pop(),
-            Backend::Calendar(q) => q.pop(),
-            Backend::Adaptive(q) => q.pop(),
-        }
-    }
-    fn peek_key(&mut self) -> Option<u128> {
-        match self {
-            Backend::Heap(q) => q.peek_key(),
-            Backend::Calendar(q) => q.peek_key(),
-            Backend::Adaptive(q) => q.peek_key(),
-        }
-    }
+
+    /// Live events: every heap entry but the corpses.
     fn len(&self) -> usize {
-        match self {
-            Backend::Heap(q) => q.len(),
-            Backend::Calendar(q) => q.len(),
-            Backend::Adaptive(q) => q.len(),
+        self.heap.len() - self.corpses
+    }
+
+    /// Live timers: every slot in use.
+    fn timer_count(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    fn push(&mut self, time: SimTime, seq: u64, event: E) {
+        let event = Entry {
+            slot: NO_SLOT,
+            event,
+        };
+        self.heap.push(Scheduled { time, seq, event });
+    }
+
+    fn push_timer(&mut self, time: SimTime, seq: u64, event: E) -> TimerHandle {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = seq;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&s| s != NO_SLOT)
+                    .expect("fewer than u32::MAX live timers");
+                self.slots.push(seq);
+                slot
+            }
+        };
+        self.heap.push(Scheduled {
+            time,
+            seq,
+            event: Entry { slot, event },
+        });
+        TimerHandle {
+            key: pack(time, seq),
+            slot,
+        }
+    }
+
+    fn cancel(&mut self, handle: TimerHandle) -> bool {
+        match self.slots.get_mut(handle.slot as usize) {
+            Some(held) if *held == handle.key as u64 => {
+                *held = FREE;
+                self.free.push(handle.slot);
+                self.corpses += 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// The packed key of the earliest live event, dropping any corpses
+    /// above it.
+    #[inline]
+    fn peek_key(&mut self) -> Option<u128> {
+        loop {
+            let (key, entry) = self.heap.peek()?;
+            if entry.slot == NO_SLOT || self.slots[entry.slot as usize] == key as u64 {
+                return Some(key);
+            }
+            self.heap.pop();
+            self.corpses -= 1;
+        }
+    }
+
+    /// Remove the earliest entry, which [`peek_key`](Self::peek_key) has
+    /// just found live, releasing its timer slot.
+    #[inline]
+    fn pop_live(&mut self) -> Scheduled<E> {
+        let Scheduled { time, seq, event } = self.heap.pop().expect("peeked the head");
+        if event.slot != NO_SLOT {
+            self.slots[event.slot as usize] = FREE;
+            self.free.push(event.slot);
+        }
+        Scheduled {
+            time,
+            seq,
+            event: event.event,
         }
     }
 }
@@ -248,26 +350,26 @@ pub enum RunOutcome {
     Paused,
 }
 
-/// The discrete-event engine: a clock plus a three-tier pending-event set.
+/// The discrete-event engine: a clock plus a two-tier pending-event set.
 ///
-/// Pending events live in one of three places, all ordered by the same
+/// Pending events live in one of two places, both ordered by the same
 /// packed `(time, seq)` key so a merge-pop across them reproduces the exact
 /// global order a single queue would give:
 ///
 /// * the **now-queue** — a FIFO ring holding events scheduled *for the
 ///   current instant* (zero-delay handler chains); pushing and popping it
-///   never touches the comparison-based queue,
-/// * the **timer store** — cancellable timers from
-///   [`Scheduler::schedule_timer`], kept on a timing wheel with an
-///   adaptive heap fallback ([`AdaptiveTimers`]),
-/// * the **backend queue** — everything else ([`QueueKind`]).
+///   never touches the heap,
+/// * the **future-event heap** — everything later, cancellable timers
+///   included. A cancelled timer stays in the heap until it reaches the
+///   top, where the merge-peek drops it before it is counted or checked
+///   against the horizon, so it never fires and never shows in
+///   [`pending`](Self::pending) or `timer_count`.
 pub struct Engine<E> {
-    queue: Backend<E>,
-    timers: AdaptiveTimers<E>,
+    future: FutureEvents<E>,
     /// Events scheduled for the current instant, in FIFO (= seq) order.
     /// Invariant: every entry's time equals the time of the most recently
-    /// popped event, so entries are totally ordered against the other two
-    /// tiers by `(time, seq)` like everything else.
+    /// popped event, so entries are totally ordered against the heap by
+    /// `(time, seq)` like everything else.
     now_queue: VecDeque<Scheduled<E>>,
     now: SimTime,
     next_seq: u64,
@@ -280,16 +382,11 @@ pub struct Engine<E> {
 }
 
 impl<E> Engine<E> {
-    /// A fresh engine at time zero with the given backend.
-    pub fn new(kind: QueueKind) -> Self {
-        let queue = match kind {
-            QueueKind::BinaryHeap => Backend::Heap(BinaryHeapQueue::new()),
-            QueueKind::Calendar => Backend::Calendar(CalendarQueue::new()),
-            QueueKind::Adaptive => Backend::Adaptive(AdaptiveQueue::new()),
-        };
+    /// A fresh engine at time zero. [`QueueKind`] has a single variant,
+    /// so every engine uses the same pending-event set.
+    pub fn new(_kind: QueueKind) -> Self {
         Engine {
-            queue,
-            timers: AdaptiveTimers::new(),
+            future: FutureEvents::new(),
             now_queue: VecDeque::with_capacity(64),
             now: SimTime::ZERO,
             next_seq: 0,
@@ -311,9 +408,10 @@ impl<E> Engine<E> {
         self.events_processed
     }
 
-    /// Number of pending events (including pending timers).
+    /// Number of pending events (including pending timers; cancelled
+    /// timers are not counted).
     pub fn pending(&self) -> usize {
-        self.queue.len() + self.timers.len() + self.now_queue.len()
+        self.future.len() + self.now_queue.len()
     }
 
     /// Schedule an event before the run starts (or between runs).
@@ -321,54 +419,44 @@ impl<E> Engine<E> {
         assert!(time >= self.now, "cannot seed into the past");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(Scheduled { time, seq, event });
+        self.future.push(time, seq, event);
+    }
+
+    /// The packed key of the earliest live event and whether it is the
+    /// now-queue front, or `None` when nothing is pending.
+    #[inline]
+    fn next_key(&mut self) -> Option<(u128, bool)> {
+        let front = self.now_queue.front().map(|s| pack(s.time, s.seq));
+        match (front, self.future.peek_key()) {
+            (Some(f), Some(h)) if h < f => Some((h, false)),
+            (Some(f), _) => Some((f, true)),
+            (None, Some(h)) => Some((h, false)),
+            (None, None) => None,
+        }
     }
 
     /// Drive `model` until the queue drains, the horizon passes, or the
     /// event budget runs out.
     pub fn run<M: Model<Event = E>>(&mut self, model: &mut M) -> RunOutcome {
-        // Tags for the three pending-event tiers; `NONE` means all empty.
-        const NOW: u8 = 0;
-        const WHEEL: u8 = 1;
-        const QUEUE: u8 = 2;
-        const NONE: u8 = 3;
         loop {
             if self.events_processed >= self.max_events {
                 return RunOutcome::BudgetExhausted;
             }
-            // Merge-peek: the next event is the least (time, seq) across
-            // the now-queue front, the timer minimum, and the queue head.
-            let mut key = u128::MAX;
-            let mut src = NONE;
-            if let Some(s) = self.now_queue.front() {
-                key = ((s.time.nanos() as u128) << 64) | s.seq as u128;
-                src = NOW;
-            }
-            if let Some(k) = self.timers.peek_key() {
-                if k < key {
-                    key = k;
-                    src = WHEEL;
-                }
-            }
-            if let Some(k) = self.queue.peek_key() {
-                if k < key {
-                    key = k;
-                    src = QUEUE;
-                }
-            }
-            if src == NONE {
+            // Merge-peek: the next event is the lesser (time, seq) of the
+            // now-queue front and the earliest live heap entry.
+            let Some((key, from_now)) = self.next_key() else {
                 return RunOutcome::Drained;
-            }
+            };
             if SimTime((key >> 64) as u64) > self.horizon {
                 // Nothing was popped; the caller can inspect `pending()`
                 // to see there was more to do.
                 self.now = self.horizon;
                 return RunOutcome::HorizonReached;
             }
-            let item = match src {
-                NOW => self.now_queue.pop_front().expect("peeked the front"),
-                WHEEL => self.timers.pop_min().expect("peeked the minimum"),
-                _ => self.queue.pop().expect("peeked the head"),
+            let item = if from_now {
+                self.now_queue.pop_front().expect("peeked the front")
+            } else {
+                self.future.pop_live()
             };
             debug_assert!(item.time >= self.now, "event queue returned the past");
             self.now = item.time;
@@ -377,8 +465,7 @@ impl<E> Engine<E> {
             let mut sched = Scheduler {
                 now: self.now,
                 next_seq: self.next_seq,
-                timers: &mut self.timers,
-                queue: &mut self.queue,
+                future: &mut self.future,
                 now_queue: &mut self.now_queue,
                 pause: false,
             };
@@ -390,28 +477,14 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Timestamp of the earliest pending event across all three tiers, or
+    /// Timestamp of the earliest pending event across both tiers, or
     /// `None` when the pending set is empty.
     ///
-    /// `&mut` because peeking the backend queue may rebalance a calendar
-    /// bucket; the pending set itself is not modified. The sharded engine
+    /// `&mut` because peeking drops cancelled timers from the top of the
+    /// heap; the live pending set is not modified. The sharded engine
     /// uses this to compute the global window floor.
     pub fn next_event_time(&mut self) -> Option<SimTime> {
-        let mut key = u128::MAX;
-        if let Some(s) = self.now_queue.front() {
-            key = ((s.time.nanos() as u128) << 64) | s.seq as u128;
-        }
-        if let Some(k) = self.timers.peek_key() {
-            key = key.min(k);
-        }
-        if let Some(k) = self.queue.peek_key() {
-            key = key.min(k);
-        }
-        if key == u128::MAX {
-            None
-        } else {
-            Some(SimTime((key >> 64) as u64))
-        }
+        self.next_key().map(|(key, _)| SimTime((key >> 64) as u64))
     }
 
     /// Like [`Engine::run`] but stops once simulated time would exceed
@@ -449,16 +522,14 @@ mod tests {
     }
 
     #[test]
-    fn countdown_runs_to_completion_on_both_backends() {
-        for kind in [QueueKind::BinaryHeap, QueueKind::Calendar] {
-            let mut engine = Engine::new(kind);
-            engine.seed(SimTime(5), 3u64);
-            let mut model = Countdown { fired: Vec::new() };
-            assert_eq!(engine.run(&mut model), RunOutcome::Drained);
-            assert_eq!(model.fired, vec![(5, 3), (15, 2), (25, 1), (35, 0)]);
-            assert_eq!(engine.now(), SimTime(35));
-            assert_eq!(engine.events_processed(), 4);
-        }
+    fn countdown_runs_to_completion() {
+        let mut engine = Engine::new(QueueKind::BinaryHeap);
+        engine.seed(SimTime(5), 3u64);
+        let mut model = Countdown { fired: Vec::new() };
+        assert_eq!(engine.run(&mut model), RunOutcome::Drained);
+        assert_eq!(model.fired, vec![(5, 3), (15, 2), (25, 1), (35, 0)]);
+        assert_eq!(engine.now(), SimTime(35));
+        assert_eq!(engine.events_processed(), 4);
     }
 
     #[test]
@@ -529,7 +600,7 @@ mod tests {
 
     #[test]
     fn pending_and_counters_track_queue_state() {
-        let mut engine: Engine<u64> = Engine::new(QueueKind::Calendar);
+        let mut engine: Engine<u64> = Engine::new(QueueKind::BinaryHeap);
         assert_eq!(engine.pending(), 0);
         engine.seed(SimTime(1), 1);
         engine.seed(SimTime(2), 2);

@@ -3,11 +3,9 @@
 //! The deterministic discrete-event simulation kernel underneath the
 //! `parsched` reproduction of Chan, Dandamudi & Majumdar (IPPS 1997).
 //!
-//! The kernel is domain-agnostic: it provides simulated [time](time),
-//! interchangeable [pending-event set](queue) implementations (heap,
-//! calendar, and an adaptive hybrid), a [timing wheel](wheel) with an
-//! [adaptive heap fallback](timers) for cancellable timers, the
-//! [event loop](engine), a conservative
+//! The kernel is domain-agnostic: it provides simulated [time](time), the
+//! [event loop](engine) over a now-queue and one [future-event heap](queue)
+//! with lazy timer cancellation, a conservative
 //! [sharded parallel engine](shard) with barrier lookahead windows,
 //! [output statistics](stats),
 //! a [deterministic RNG](rng) with labelled substreams, and a bounded
@@ -18,9 +16,9 @@
 //!
 //! Simulations built on this kernel are bit-for-bit reproducible: integer
 //! nanosecond timestamps, sequence-number tiebreaks for simultaneous events,
-//! and seeded RNG substreams. All queue backends — and the engine's
-//! now-queue/wheel/queue merge — produce identical event orders (asserted
-//! by tests), so backend choice is purely a performance knob.
+//! and seeded RNG substreams. The engine's now-queue/heap merge pops in
+//! exact `(time, seq)` order, and the differential oracle holds it to a
+//! naive single-heap engine event for event.
 //!
 //! ## Example
 //!
@@ -60,19 +58,15 @@ pub mod rng;
 pub mod shard;
 pub mod stats;
 pub mod time;
-pub mod timers;
 pub mod trace;
-pub mod wheel;
 
 /// The kernel's commonly used names in one import.
 pub mod prelude {
     pub use crate::engine::{
-        Engine, EventScheduler, EventSeeder, Model, QueueKind, RunOutcome, Scheduler,
+        Engine, EventScheduler, EventSeeder, Model, QueueKind, RunOutcome, Scheduler, TimerHandle,
     };
-    pub use crate::queue::{AdaptiveQueue, BinaryHeapQueue, CalendarQueue, EventQueue, Scheduled};
+    pub use crate::queue::{BinaryHeapQueue, Scheduled};
     pub use crate::shard::{Lookahead, ShardCtx, ShardModel, ShardTiming, ShardedEngine, Solo};
-    pub use crate::timers::AdaptiveTimers;
-    pub use crate::wheel::{TimerHandle, TimerWheel};
     pub use crate::rng::DetRng;
     pub use crate::stats::{percentile, Histogram, Summary, TimeWeighted, Welford};
     pub use crate::time::{SimDuration, SimTime};

@@ -1,43 +1,12 @@
-//! Pending-event set implementations.
+//! The future-event heap.
 //!
-//! The event queue is the hot data structure of a discrete-event simulator.
-//! Three backends are provided behind the [`EventQueue`] trait:
-//!
-//! * [`BinaryHeapQueue`] — an `O(log n)` implicit heap; the robust choice
-//!   for small pending sets.
-//! * [`CalendarQueue`] — the classic Brown (1988) calendar queue with `O(1)`
-//!   amortized enqueue/dequeue under stationary event-time distributions;
-//!   wins once the pending set grows into the hundreds. Benchmarked against
-//!   the heap by `cargo run --release -p parsched-bench --bin perf` (see the
-//!   `queue_hold_*` scenarios and EXPERIMENTS.md "Performance").
-//! * [`AdaptiveQueue`] — the default: starts as a heap and migrates to a
-//!   calendar (and back) at the measured crossover, so callers no longer
-//!   pick a backend per workload.
-//!
-//! ## The adaptive heuristic
-//!
-//! `queue_hold_*` measurements put the heap/calendar crossover between a few
-//! hundred and ~1k pending events on this codebase's event mix. The
-//! [`AdaptiveQueue`] samples its population every [`ADAPT_CHECK_EVERY`]
-//! operations; [`ADAPT_STREAK`] consecutive samples above
-//! [`ADAPT_PROMOTE_LEN`] migrate heap → calendar, the same number below
-//! [`ADAPT_DEMOTE_LEN`] migrate back. The wide gap between the two
-//! thresholds is deliberate hysteresis: a population oscillating near the
-//! crossover must not thrash migrations (each migration drains and
-//! re-inserts every pending event). On promotion the calendar's bucket
-//! width is seeded from the drained events' observed time dispersion
-//! (3× the mean inter-event gap, Brown's rule); a zero-dispersion sample
-//! (all events simultaneous) vetoes promotion since day-indexing degenerates
-//! when every event hashes to one bucket.
-//!
-//! All backends break ties on event time by the insertion sequence number,
-//! so a simulation produces exactly the same event order regardless of the
-//! backend — a property the integration tests assert. Migration preserves
-//! order for the same reason: events are drained in `(time, seq)` order and
-//! re-inserted into a structure that sorts by the same key.
+//! [`BinaryHeapQueue`] is the engine's one store for events scheduled past
+//! the current instant, cancellable timers included (the engine layers
+//! lazy cancellation on top; see [`Engine`](crate::engine::Engine)). Events
+//! order by the packed `(time, seq)` key, so the pop sequence is the
+//! deterministic global event order.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
 
 /// An event of type `E` scheduled for a particular simulated instant.
 #[derive(Debug, Clone)]
@@ -48,49 +17,6 @@ pub struct Scheduled<E> {
     pub seq: u64,
     /// The event payload.
     pub event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap and we want the earliest event.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// A pending-event set: a priority queue ordered by `(time, seq)`.
-pub trait EventQueue<E> {
-    /// Insert an event.
-    fn push(&mut self, item: Scheduled<E>);
-    /// Remove and return the earliest event, or `None` if empty.
-    fn pop(&mut self) -> Option<Scheduled<E>>;
-    /// The timestamp of the earliest event without removing it.
-    fn peek_time(&self) -> Option<SimTime>;
-    /// The packed `(time << 64) | seq` key of the earliest event without
-    /// removing it. Takes `&mut self` so backends may cache the located
-    /// minimum and reuse it in the following `pop`.
-    fn peek_key(&mut self) -> Option<u128>;
-    /// Number of pending events.
-    fn len(&self) -> usize;
-    /// True if no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Heap-backed pending-event set.
@@ -109,7 +35,7 @@ pub struct BinaryHeapQueue<E> {
 
 /// Pack `(time, seq)` so one integer compare gives the event order.
 #[inline]
-fn pack(time: SimTime, seq: u64) -> u128 {
+pub(crate) fn pack(time: SimTime, seq: u64) -> u128 {
     ((time.nanos() as u128) << 64) | seq as u128
 }
 
@@ -134,6 +60,46 @@ impl<E> BinaryHeapQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
         BinaryHeapQueue { heap: Vec::new() }
+    }
+
+    /// Insert an event.
+    pub fn push(&mut self, item: Scheduled<E>) {
+        self.heap.push((pack(item.time, item.seq), item.event));
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Remove and return the earliest event, or `None` if empty.
+    pub fn pop(&mut self) -> Option<Scheduled<E>> {
+        let len = self.heap.len();
+        match len {
+            0 => None,
+            1 => self.heap.pop().map(unpack),
+            _ => {
+                self.heap.swap(0, len - 1);
+                let top = self.heap.pop().expect("len >= 2");
+                self.sift_down();
+                Some(unpack(top))
+            }
+        }
+    }
+
+    /// The packed `(time << 64) | seq` key and payload of the earliest
+    /// event, without removing it.
+    #[inline]
+    pub fn peek(&self) -> Option<(u128, &E)> {
+        self.heap.first().map(|(key, event)| (*key, event))
+    }
+
+    /// Number of queued events.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// True if no events are queued.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
     }
 
     /// Restore the heap property upward from `pos` (a freshly pushed slot).
@@ -176,462 +142,6 @@ impl<E> BinaryHeapQueue<E> {
     }
 }
 
-impl<E> EventQueue<E> for BinaryHeapQueue<E> {
-    fn push(&mut self, item: Scheduled<E>) {
-        self.heap.push((pack(item.time, item.seq), item.event));
-        self.sift_up(self.heap.len() - 1);
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        let len = self.heap.len();
-        match len {
-            0 => None,
-            1 => self.heap.pop().map(unpack),
-            _ => {
-                self.heap.swap(0, len - 1);
-                let top = self.heap.pop().expect("len >= 2");
-                self.sift_down();
-                Some(unpack(top))
-            }
-        }
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|&(key, _)| SimTime((key >> 64) as u64))
-    }
-
-    fn peek_key(&mut self) -> Option<u128> {
-        self.heap.first().map(|&(key, _)| key)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
-/// Calendar-queue backed pending-event set (Brown 1988).
-///
-/// Events are hashed into day "buckets" by `time / bucket_width`; a dequeue
-/// scans forward from the current day. The structure resizes (doubling or
-/// halving the bucket count and re-estimating the width from a sample of
-/// inter-event gaps) when the population crosses 2× or 0.5× the bucket count,
-/// giving `O(1)` amortized operations for stationary distributions.
-#[derive(Debug)]
-pub struct CalendarQueue<E> {
-    buckets: Vec<Vec<Scheduled<E>>>,
-    /// Width of one bucket in nanoseconds (never zero).
-    bucket_width: u64,
-    /// Number of events stored.
-    len: usize,
-    /// Bucket index the next dequeue starts scanning from.
-    current_bucket: usize,
-    /// Start time of `current_bucket`'s current "year" window.
-    current_year_start: u64,
-    /// Population thresholds for resizing.
-    grow_at: usize,
-    shrink_at: usize,
-    /// `(packed key, bucket)` of the located minimum; the minimum is the
-    /// *last* element of that bucket. Invalidated by any pop or resize.
-    cached_head: Option<(u128, usize)>,
-    /// Buckets visited by `locate_min` since the last occupancy check.
-    scan_steps: u64,
-    /// Pops since the last occupancy check.
-    scan_pops: u64,
-}
-
-const CQ_INITIAL_BUCKETS: usize = 16;
-const CQ_INITIAL_WIDTH: u64 = 1_000; // 1 us
-/// Pops between under-occupancy checks.
-const CQ_SCAN_WINDOW: u64 = 256;
-/// Mean buckets-visited-per-pop above which the calendar re-derives its
-/// geometry. A well-tuned calendar finds the head in ~1 step; sustained
-/// long walks mean the bucket count or width no longer fits the population
-/// (e.g. after it shrank, or the event-time spread drifted), which the
-/// population-threshold resizes alone do not catch.
-const CQ_SCAN_RESIZE_THRESHOLD: u64 = 4;
-
-impl<E> Default for CalendarQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> CalendarQueue<E> {
-    /// An empty queue with default geometry.
-    pub fn new() -> Self {
-        Self::with_geometry(CQ_INITIAL_BUCKETS, CQ_INITIAL_WIDTH)
-    }
-
-    /// An empty queue with an explicit bucket count (rounded up to a power of
-    /// two) and bucket width in nanoseconds.
-    pub fn with_geometry(buckets: usize, width_ns: u64) -> Self {
-        let n = buckets.next_power_of_two().max(2);
-        CalendarQueue {
-            buckets: (0..n).map(|_| Vec::new()).collect(),
-            bucket_width: width_ns.max(1),
-            len: 0,
-            current_bucket: 0,
-            current_year_start: 0,
-            grow_at: n * 2,
-            shrink_at: n / 2,
-            cached_head: None,
-            scan_steps: 0,
-            scan_pops: 0,
-        }
-    }
-
-    #[inline]
-    fn bucket_of(&self, time: SimTime) -> usize {
-        ((time.nanos() / self.bucket_width) as usize) & (self.buckets.len() - 1)
-    }
-
-    fn resize(&mut self, new_buckets: usize) {
-        self.cached_head = None;
-        self.scan_steps = 0;
-        self.scan_pops = 0;
-        let new_width = self.estimate_width();
-        let mut all: Vec<Scheduled<E>> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            all.append(b);
-        }
-        let n = new_buckets.next_power_of_two().max(2);
-        self.buckets = (0..n).map(|_| Vec::new()).collect();
-        self.bucket_width = new_width;
-        self.grow_at = n * 2;
-        self.shrink_at = if n <= CQ_INITIAL_BUCKETS { 0 } else { n / 2 };
-        self.len = 0;
-        // Re-derive the scan position from the earliest event.
-        let min_time = all.iter().map(|s| s.time).min().unwrap_or(SimTime::ZERO);
-        self.set_scan_position(min_time);
-        for item in all {
-            self.insert_raw(item);
-        }
-    }
-
-    /// Estimate a bucket width as ~the average gap between the next few
-    /// events (the textbook heuristic), clamped to at least 1 ns.
-    fn estimate_width(&self) -> u64 {
-        let mut sample: Vec<u64> = self
-            .buckets
-            .iter()
-            .flat_map(|b| b.iter().map(|s| s.time.nanos()))
-            .collect();
-        if sample.len() < 2 {
-            return self.bucket_width;
-        }
-        sample.sort_unstable();
-        let take = sample.len().min(64);
-        let span = sample[take - 1].saturating_sub(sample[0]);
-        let gap = span / (take as u64 - 1).max(1);
-        // Three times the mean gap, per Brown's recommendation.
-        (gap.saturating_mul(3)).clamp(1, u64::MAX / 4)
-    }
-
-    fn set_scan_position(&mut self, time: SimTime) {
-        let day = time.nanos() / self.bucket_width;
-        self.current_bucket = (day as usize) & (self.buckets.len() - 1);
-        self.current_year_start = day * self.bucket_width;
-    }
-
-    fn insert_raw(&mut self, item: Scheduled<E>) {
-        let key = pack(item.time, item.seq);
-        let idx = self.bucket_of(item.time);
-        // Keep each bucket sorted descending so pop_min is a cheap pop().
-        let bucket = &mut self.buckets[idx];
-        let pos = bucket
-            .binary_search_by(|probe| {
-                (item.time, item.seq).cmp(&(probe.time, probe.seq))
-            })
-            .unwrap_or_else(|p| p);
-        bucket.insert(pos, item);
-        self.len += 1;
-        // A new global minimum lands at the end of its own bucket, so the
-        // cached head can be updated in place; any other insert leaves the
-        // located minimum where it was.
-        if let Some((ck, _)) = self.cached_head {
-            if key < ck {
-                self.cached_head = Some((key, idx));
-            }
-        }
-    }
-
-    /// Find the bucket holding the earliest `(time, seq)` event (its last
-    /// element), advancing the year scan position like a dequeue would.
-    /// Caches the answer for the following `pop`. `None` iff empty.
-    fn locate_min(&mut self) -> Option<(u128, usize)> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(found) = self.cached_head {
-            return Some(found);
-        }
-        let nbuckets = self.buckets.len();
-        loop {
-            // Scan one "year": every bucket once, honouring the day windows.
-            let mut year_min: Option<(SimTime, u64, usize)> = None;
-            for step in 0..nbuckets {
-                let idx = (self.current_bucket + step) & (nbuckets - 1);
-                let window_start =
-                    self.current_year_start + (step as u64) * self.bucket_width;
-                let window_end = window_start.saturating_add(self.bucket_width);
-                if let Some(last) = self.buckets[idx].last() {
-                    let t = last.time.nanos();
-                    if t >= window_start && t < window_end {
-                        // In its home-day window: guaranteed earliest overall.
-                        self.current_bucket = idx;
-                        self.current_year_start = window_start;
-                        self.scan_steps += step as u64 + 1;
-                        let found = (pack(last.time, last.seq), idx);
-                        self.cached_head = Some(found);
-                        return Some(found);
-                    }
-                    match year_min {
-                        Some((mt, ms, _)) if (last.time, last.seq) >= (mt, ms) => {}
-                        _ => year_min = Some((last.time, last.seq, idx)),
-                    }
-                }
-            }
-            self.scan_steps += nbuckets as u64;
-            match year_min {
-                // Nothing in its home window this year: jump straight to the
-                // year of the globally earliest event (direct search).
-                Some((t, s, idx)) => {
-                    self.set_scan_position(t);
-                    // Re-loop; the event is now inside its window. To avoid a
-                    // pathological infinite loop on width-overflow, return
-                    // directly if the window test would still fail.
-                    if self.bucket_of(t) == idx {
-                        continue;
-                    }
-                    let found = (pack(t, s), idx);
-                    self.cached_head = Some(found);
-                    return Some(found);
-                }
-                None => {
-                    debug_assert_eq!(self.len, 0, "len out of sync with buckets");
-                    return None;
-                }
-            }
-        }
-    }
-}
-
-impl<E> EventQueue<E> for CalendarQueue<E> {
-    fn push(&mut self, item: Scheduled<E>) {
-        if self.len + 1 > self.grow_at {
-            let n = self.buckets.len() * 2;
-            self.resize(n);
-        }
-        // An event earlier than the scan position must move the scan back,
-        // otherwise it would only be found after a full wrap.
-        if item.time.nanos() < self.current_year_start {
-            self.set_scan_position(item.time);
-        }
-        self.insert_raw(item);
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.len < self.shrink_at {
-            let n = (self.buckets.len() / 2).max(CQ_INITIAL_BUCKETS);
-            if n < self.buckets.len() {
-                self.resize(n);
-            }
-        }
-        // Under-occupancy guard: if recent dequeues walked far through
-        // empty buckets, the geometry is stale — re-derive it from the
-        // current population regardless of the grow/shrink thresholds.
-        self.scan_pops += 1;
-        if self.scan_pops >= CQ_SCAN_WINDOW {
-            if self.scan_steps > CQ_SCAN_RESIZE_THRESHOLD * self.scan_pops
-                && self.len >= 2
-            {
-                self.resize(self.len);
-            } else {
-                self.scan_steps = 0;
-                self.scan_pops = 0;
-            }
-        }
-        let (_, idx) = self.locate_min()?;
-        let item = self.buckets[idx].pop().expect("located minimum is live");
-        self.len -= 1;
-        self.cached_head = None;
-        Some(item)
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.buckets
-            .iter()
-            .filter_map(|b| b.last().map(|s| s.time))
-            .min()
-    }
-
-    fn peek_key(&mut self) -> Option<u128> {
-        self.locate_min().map(|(key, _)| key)
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
-/// Operations between population checks of the [`AdaptiveQueue`].
-pub const ADAPT_CHECK_EVERY: u32 = 256;
-/// Consecutive agreeing checks required before a migration.
-pub const ADAPT_STREAK: u32 = 4;
-/// Population at or above which sustained checks promote heap → calendar.
-pub const ADAPT_PROMOTE_LEN: usize = 1024;
-/// Population at or below which sustained checks demote calendar → heap.
-pub const ADAPT_DEMOTE_LEN: usize = 256;
-
-#[derive(Debug)]
-enum AdaptiveInner<E> {
-    Heap(BinaryHeapQueue<E>),
-    Calendar(CalendarQueue<E>),
-}
-
-/// Self-tuning pending-event set: a heap that becomes a calendar queue
-/// when the population grows past the measured crossover, and reverts when
-/// it falls back. See the [module docs](self) for the heuristic and its
-/// rationale. Event order is identical to either fixed backend.
-#[derive(Debug)]
-pub struct AdaptiveQueue<E> {
-    inner: AdaptiveInner<E>,
-    ops_since_check: u32,
-    streak: u32,
-}
-
-impl<E> Default for AdaptiveQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> AdaptiveQueue<E> {
-    /// An empty queue (heap-backed until the population says otherwise).
-    pub fn new() -> Self {
-        AdaptiveQueue {
-            inner: AdaptiveInner::Heap(BinaryHeapQueue::new()),
-            ops_since_check: 0,
-            streak: 0,
-        }
-    }
-
-    /// True while the calendar backend is active (visible for tests and
-    /// benchmarks; callers never need to ask).
-    pub fn is_calendar(&self) -> bool {
-        matches!(self.inner, AdaptiveInner::Calendar(_))
-    }
-
-    #[inline]
-    fn tick(&mut self) {
-        self.ops_since_check += 1;
-        if self.ops_since_check >= ADAPT_CHECK_EVERY {
-            self.ops_since_check = 0;
-            self.check();
-        }
-    }
-
-    #[cold]
-    fn check(&mut self) {
-        let wants_migration = match &self.inner {
-            AdaptiveInner::Heap(q) => q.len() >= ADAPT_PROMOTE_LEN,
-            AdaptiveInner::Calendar(q) => q.len() <= ADAPT_DEMOTE_LEN,
-        };
-        if !wants_migration {
-            self.streak = 0;
-            return;
-        }
-        self.streak += 1;
-        if self.streak < ADAPT_STREAK {
-            return;
-        }
-        self.streak = 0;
-        match &mut self.inner {
-            AdaptiveInner::Heap(q) => {
-                let mut drained = Vec::with_capacity(q.len());
-                while let Some(item) = q.pop() {
-                    drained.push(item);
-                }
-                let (first, last) = match (drained.first(), drained.last()) {
-                    (Some(f), Some(l)) => (f.time.nanos(), l.time.nanos()),
-                    _ => return,
-                };
-                let span = last.saturating_sub(first);
-                if span == 0 {
-                    // Zero dispersion: every event would hash to one bucket
-                    // and the calendar degenerates to a sorted Vec. Refill
-                    // the heap (ascending inserts sift trivially) and stay.
-                    for item in drained {
-                        q.push(item);
-                    }
-                    return;
-                }
-                let gap = span / (drained.len() as u64 - 1).max(1);
-                let width = gap.saturating_mul(3).clamp(1, u64::MAX / 4);
-                let mut cal = CalendarQueue::with_geometry(drained.len(), width);
-                cal.set_scan_position(SimTime(first));
-                // Reverse order: each ascending-sorted item is its bucket's
-                // minimum so the descending bucket insert is an append.
-                for item in drained.into_iter().rev() {
-                    cal.insert_raw(item);
-                }
-                self.inner = AdaptiveInner::Calendar(cal);
-            }
-            AdaptiveInner::Calendar(q) => {
-                let mut heap = BinaryHeapQueue::new();
-                // Ascending drain: every push is a new maximum, no sifting.
-                while let Some(item) = q.pop() {
-                    heap.push(item);
-                }
-                self.inner = AdaptiveInner::Heap(heap);
-            }
-        }
-    }
-}
-
-impl<E> EventQueue<E> for AdaptiveQueue<E> {
-    fn push(&mut self, item: Scheduled<E>) {
-        match &mut self.inner {
-            AdaptiveInner::Heap(q) => q.push(item),
-            AdaptiveInner::Calendar(q) => q.push(item),
-        }
-        self.tick();
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        let item = match &mut self.inner {
-            AdaptiveInner::Heap(q) => q.pop(),
-            AdaptiveInner::Calendar(q) => q.pop(),
-        };
-        self.tick();
-        item
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        match &self.inner {
-            AdaptiveInner::Heap(q) => q.peek_time(),
-            AdaptiveInner::Calendar(q) => q.peek_time(),
-        }
-    }
-
-    fn peek_key(&mut self) -> Option<u128> {
-        match &mut self.inner {
-            AdaptiveInner::Heap(q) => q.peek_key(),
-            AdaptiveInner::Calendar(q) => q.peek_key(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match &self.inner {
-            AdaptiveInner::Heap(q) => q.len(),
-            AdaptiveInner::Calendar(q) => q.len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,7 +154,7 @@ mod tests {
         }
     }
 
-    fn drain<Q: EventQueue<u64>>(q: &mut Q) -> Vec<(u64, u64)> {
+    fn drain(q: &mut BinaryHeapQueue<u64>) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         while let Some(s) = q.pop() {
             out.push((s.time.nanos(), s.seq));
@@ -659,92 +169,39 @@ mod tests {
         q.push(sched(5, 3));
         q.push(sched(10, 1));
         q.push(sched(5, 0));
+        assert_eq!(q.peek().map(|(key, _)| key), Some(pack(SimTime(5), 0)));
         assert_eq!(drain(&mut q), vec![(5, 0), (5, 3), (10, 1), (10, 2)]);
     }
 
     #[test]
-    fn calendar_orders_by_time_then_seq() {
-        let mut q = CalendarQueue::new();
-        q.push(sched(10, 2));
-        q.push(sched(5, 3));
-        q.push(sched(10, 1));
-        q.push(sched(5, 0));
-        assert_eq!(drain(&mut q), vec![(5, 0), (5, 3), (10, 1), (10, 2)]);
-    }
-
-    #[test]
-    fn calendar_handles_widely_spread_times() {
-        let mut q = CalendarQueue::with_geometry(4, 10);
-        for (i, t) in [1u64, 1_000_000, 3, 999, 500_000_000, 42].iter().enumerate() {
-            q.push(sched(*t, i as u64));
-        }
-        let times: Vec<u64> = drain(&mut q).into_iter().map(|(t, _)| t).collect();
-        assert_eq!(times, vec![1, 3, 42, 999, 1_000_000, 500_000_000]);
-    }
-
-    #[test]
-    fn calendar_grows_and_shrinks() {
-        let mut q = CalendarQueue::with_geometry(2, 100);
-        for i in 0..1000u64 {
-            q.push(sched(i * 7 % 997, i));
-        }
-        assert_eq!(q.len(), 1000);
-        let mut prev = (0u64, 0u64);
-        let mut first = true;
-        while let Some(s) = q.pop() {
-            let cur = (s.time.nanos(), s.seq);
-            if !first {
-                assert!(cur > prev, "out of order: {cur:?} after {prev:?}");
-            }
-            prev = cur;
-            first = false;
-        }
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn interleaved_push_pop_stays_ordered() {
-        let mut q = CalendarQueue::new();
+    fn interleaved_push_pop_matches_a_sorted_reference() {
+        let mut q = BinaryHeapQueue::new();
+        let mut reference: Vec<(u64, u64)> = Vec::new();
         let mut seq = 0u64;
         let mut last_popped = 0u64;
-        // Pops interleaved with pushes of future times only (as in a real
-        // simulation, where events schedule later events).
         for round in 0..200u64 {
             for k in 0..5 {
-                q.push(sched(last_popped + 1 + (round * 31 + k * 17) % 1000, seq));
+                let t = last_popped + 1 + (round * 31 + k * 17) % 1000;
+                q.push(sched(t, seq));
+                reference.push((t, seq));
                 seq += 1;
             }
+            reference.sort_unstable();
             for _ in 0..3 {
-                if let Some(s) = q.pop() {
-                    assert!(s.time.nanos() >= last_popped);
-                    last_popped = s.time.nanos();
-                }
+                let s = q.pop().expect("populated");
+                assert_eq!((s.time.nanos(), s.seq), reference.remove(0));
+                last_popped = s.time.nanos();
             }
         }
-        while let Some(s) = q.pop() {
-            assert!(s.time.nanos() >= last_popped);
-            last_popped = s.time.nanos();
-        }
+        reference.sort_unstable();
+        assert_eq!(drain(&mut q), reference);
     }
 
     #[test]
-    fn empty_queues_behave() {
+    fn empty_queue_behaves() {
         let mut h: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
-        let mut c: CalendarQueue<u64> = CalendarQueue::new();
         assert!(h.pop().is_none());
-        assert!(c.pop().is_none());
-        assert_eq!(h.peek_time(), None);
-        assert_eq!(c.peek_time(), None);
-        assert!(h.is_empty() && c.is_empty());
-    }
-
-    #[test]
-    fn peek_matches_pop() {
-        let mut q = CalendarQueue::new();
-        q.push(sched(9, 0));
-        q.push(sched(3, 1));
-        assert_eq!(q.peek_time(), Some(SimTime(3)));
-        assert_eq!(q.pop().unwrap().time, SimTime(3));
-        assert_eq!(q.peek_time(), Some(SimTime(9)));
+        assert!(h.peek().is_none());
+        assert!(h.is_empty());
     }
 }

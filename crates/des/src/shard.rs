@@ -33,9 +33,8 @@
 //! [`ShardCtx::send`] for cross-shard messages. A plain [`Model`] that
 //! never needs to send remotely lifts via [`Solo`].
 
-use crate::engine::{Engine, EventScheduler, Model, QueueKind, RunOutcome};
+use crate::engine::{Engine, EventScheduler, Model, QueueKind, RunOutcome, TimerHandle};
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::TimerHandle;
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -237,13 +236,16 @@ pub struct ShardedEngine<E> {
 }
 
 impl<E> ShardedEngine<E> {
-    /// `shards` fresh engines at time zero, all on the given backend.
+    /// `shards` fresh engines at time zero.
     ///
     /// # Panics
     /// Panics when `shards` is zero or a [`Lookahead::Finite`] bound is
     /// zero (a zero lookahead admits no safe window).
-    pub fn new(shards: usize, kind: QueueKind, lookahead: Lookahead) -> Self {
-        Self::from_engines((0..shards).map(|_| Engine::new(kind)).collect(), lookahead)
+    pub fn new(shards: usize, lookahead: Lookahead) -> Self {
+        let engines = (0..shards)
+            .map(|_| Engine::new(QueueKind::BinaryHeap))
+            .collect();
+        Self::from_engines(engines, lookahead)
     }
 
     /// Wrap pre-built (possibly pre-seeded) engines as shards.
@@ -473,8 +475,7 @@ mod tests {
 
     fn ping_pong_run(hops: u32) -> Vec<Vec<(u64, u32)>> {
         let delay = SimDuration::from_micros(5);
-        let mut sharded =
-            ShardedEngine::new(2, QueueKind::Adaptive, Lookahead::Finite(delay));
+        let mut sharded = ShardedEngine::new(2, Lookahead::Finite(delay));
         sharded.shard_mut(0).seed(SimTime::ZERO, 0u32);
         let mut models = vec![
             PingPong { max_hops: hops, delay, log: Vec::new() },
@@ -530,7 +531,7 @@ mod tests {
                 }
             }
         }
-        let mut sharded = ShardedEngine::new(4, QueueKind::Adaptive, Lookahead::Independent);
+        let mut sharded = ShardedEngine::new(4, Lookahead::Independent);
         for i in 0..4 {
             sharded.shard_mut(i).seed(SimTime(i as u64), 5u32);
         }
@@ -556,12 +557,12 @@ mod tests {
                 }
             }
         }
-        let mut plain = Engine::new(QueueKind::Adaptive);
+        let mut plain = Engine::new(QueueKind::BinaryHeap);
         plain.seed(SimTime(5), 3u64);
         let mut reference = Countdown(Vec::new());
         assert_eq!(plain.run(&mut reference), RunOutcome::Drained);
 
-        let mut sharded = ShardedEngine::new(1, QueueKind::Adaptive, Lookahead::Independent);
+        let mut sharded = ShardedEngine::new(1, Lookahead::Independent);
         sharded.shard_mut(0).seed(SimTime(5), 3u64);
         let mut models = vec![Solo(Countdown(Vec::new()))];
         assert_eq!(sharded.run(&mut models), RunOutcome::Drained);
@@ -584,7 +585,7 @@ mod tests {
                 ctx.schedule(SimDuration::from_nanos(1), ());
             }
         }
-        let mut sharded = ShardedEngine::new(2, QueueKind::Adaptive, Lookahead::Independent);
+        let mut sharded = ShardedEngine::new(2, Lookahead::Independent);
         sharded.shard_mut(1).max_events = 100;
         sharded.shard_mut(1).seed(SimTime::ZERO, ());
         let mut models = vec![Forever, Forever];
@@ -606,7 +607,7 @@ mod tests {
                 panic!("model exploded");
             }
         }
-        let mut sharded = ShardedEngine::new(4, QueueKind::Adaptive, Lookahead::Independent);
+        let mut sharded = ShardedEngine::new(4, Lookahead::Independent);
         sharded.shard_mut(2).seed(SimTime::ZERO, ());
         let mut models = vec![Bomb, Bomb, Bomb, Bomb];
         sharded.run(&mut models);
@@ -627,11 +628,7 @@ mod tests {
                 ctx.send(1, SimDuration::from_nanos(1), ());
             }
         }
-        let mut sharded = ShardedEngine::new(
-            2,
-            QueueKind::Adaptive,
-            Lookahead::Finite(SimDuration::from_micros(1)),
-        );
+        let mut sharded = ShardedEngine::new(2, Lookahead::Finite(SimDuration::from_micros(1)));
         sharded.shard_mut(0).seed(SimTime::ZERO, ());
         sharded.run(&mut [Eager, Eager]);
     }

@@ -30,7 +30,7 @@ pub struct MachineMetrics {
     ready_depth: Vec<GaugeId>,
     link_busy: Vec<GaugeId>,
     partition_mpl: Vec<GaugeId>,
-    wheel_depth: GaugeId,
+    timers_pending: GaugeId,
     alive_capacity: GaugeId,
     in_system: GaugeId,
     vc_occupancy: GaugeId,
@@ -59,7 +59,7 @@ impl MachineMetrics {
         let partition_mpl = (0..net.partitions())
             .map(|p| registry.gauge(format!("P{p}.mpl"), 0.0))
             .collect();
-        let wheel_depth = registry.gauge("engine.wheel_depth".to_string(), 0.0);
+        let timers_pending = registry.gauge("engine.timers_pending".to_string(), 0.0);
         let alive_capacity = registry.gauge("machine.alive_capacity".to_string(), 1.0);
         let in_system = registry.gauge("machine.in_system".to_string(), 0.0);
         let vc_occupancy = registry.gauge("machine.vc_occupancy".to_string(), 0.0);
@@ -71,7 +71,7 @@ impl MachineMetrics {
             ready_depth,
             link_busy,
             partition_mpl,
-            wheel_depth,
+            timers_pending,
             alive_capacity,
             in_system,
             vc_occupancy,
@@ -100,11 +100,11 @@ impl MachineMetrics {
         self.registry.set(self.link_busy[chan as usize], now, busy);
     }
 
-    /// Record the engine timing wheel's occupancy (pending cancellable
-    /// timers), sampled at dispatch points.
+    /// Record the engine's pending cancellable timers (its
+    /// `timer_count`), sampled at dispatch points.
     #[inline]
-    pub fn set_wheel_depth(&mut self, now: SimTime, depth: usize) {
-        self.registry.set(self.wheel_depth, now, depth as f64);
+    pub fn set_timers_pending(&mut self, now: SimTime, timers: usize) {
+        self.registry.set(self.timers_pending, now, timers as f64);
     }
 
     /// Record a partition's multiprogramming level (jobs executing).
@@ -208,7 +208,7 @@ mod tests {
         assert!(names.contains(&"node2.ready_depth"));
         assert!(names.contains(&"link0->1.busy"));
         assert!(names.contains(&"P0.mpl"));
-        assert!(names.contains(&"engine.wheel_depth"));
+        assert!(names.contains(&"engine.timers_pending"));
         assert!(names.contains(&"machine.alive_capacity"));
         assert!(names.contains(&"machine.in_system"));
         assert!(names.contains(&"machine.vc_occupancy"));

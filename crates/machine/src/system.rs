@@ -511,12 +511,12 @@ impl Machine {
         }
     }
 
-    /// Sample the engine timing wheel's occupancy (pending cancellable
-    /// timers) into the metrics registry.
+    /// Sample the engine's pending cancellable timers into the metrics
+    /// registry.
     #[inline]
-    fn note_wheel_depth(&mut self, now: SimTime, sched: &impl EventScheduler<Event>) {
+    fn note_timers_pending(&mut self, now: SimTime, sched: &impl EventScheduler<Event>) {
         if let Some(m) = self.metrics.as_deref_mut() {
-            m.set_wheel_depth(now, sched.timer_count());
+            m.set_timers_pending(now, sched.timer_count());
         }
     }
 
@@ -1334,7 +1334,7 @@ impl Machine {
         cpu.busy.set(now, 1.0);
         cpu.slice_timer = Some(sched.schedule_timer_at(end, Event::SliceEnd { node, seq }));
         self.note_cpu_busy(node, now, 1.0);
-        self.note_wheel_depth(now, sched);
+        self.note_timers_pending(now, sched);
         self.obs(now, ObsEvent::QuantumStart { node, job, rank });
     }
 

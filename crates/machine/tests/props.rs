@@ -123,12 +123,7 @@ fn make_net(t: Topo) -> SystemNet {
 }
 
 /// Run a set of jobs on a machine and return it for inspection.
-fn run_jobs(
-    cfg: MachineConfig,
-    net: SystemNet,
-    jobs: &[ForkJoin],
-    queue: QueueKind,
-) -> (Machine, SimTime, u64) {
+fn run_jobs(cfg: MachineConfig, net: SystemNet, jobs: &[ForkJoin]) -> Machine {
     let nodes = net.nodes() as u32;
     let mut m = Machine::new(cfg, net);
     let ids: Vec<JobId> = jobs
@@ -142,14 +137,14 @@ fn run_jobs(
             m.queue_job(spec, placement, SimDuration::from_millis(2))
         })
         .collect();
-    let mut engine = Engine::new(queue);
+    let mut engine = Engine::new(QueueKind::BinaryHeap);
     engine.max_events = 5_000_000;
     for id in ids {
         engine.seed(SimTime::ZERO, Event::Admit { job: id });
     }
     let outcome = engine.run(&mut m);
     assert_eq!(outcome, RunOutcome::Drained, "simulation must drain");
-    (m, engine.now(), engine.events_processed())
+    m
 }
 
 /// Any balanced workload completes, consumes what it sends, and
@@ -161,12 +156,7 @@ fn conservation_laws_hold() {
         let mut rng = root.substream_idx("conservation", case);
         let topo = random_topo(&mut rng);
         let jobs = random_forkjoins(&mut rng, 1, 5);
-        let (m, _, _) = run_jobs(
-            MachineConfig::default(),
-            make_net(topo),
-            &jobs,
-            QueueKind::BinaryHeap,
-        );
+        let m = run_jobs(MachineConfig::default(), make_net(topo), &jobs);
         assert!(m.all_jobs_done(), "case {case}");
         assert_eq!(
             m.counters.messages_sent, m.counters.messages_consumed,
@@ -209,12 +199,7 @@ fn cpu_time_accounts_for_all_work() {
                 t
             })
             .collect();
-        let (m, _, _) = run_jobs(
-            cfg.clone(),
-            make_net(topo),
-            std::slice::from_ref(&fj),
-            QueueKind::BinaryHeap,
-        );
+        let m = run_jobs(cfg.clone(), make_net(topo), std::slice::from_ref(&fj));
         for (proc_, exp) in m.processes().iter().zip(expected) {
             // recv costs add the per-byte cost of whatever messages the
             // process consumed; build the exact expectation.
@@ -237,35 +222,6 @@ fn cpu_time_accounts_for_all_work() {
     }
 }
 
-/// The two engine backends replay identical histories for arbitrary
-/// workloads.
-#[test]
-fn backends_agree_on_random_workloads() {
-    let root = DetRng::new(0xC2);
-    for case in 0..CASES {
-        let mut rng = root.substream_idx("backends", case);
-        let topo = random_topo(&mut rng);
-        let jobs = random_forkjoins(&mut rng, 1, 4);
-        let (ma, ta, ea) = run_jobs(
-            MachineConfig::default(),
-            make_net(topo),
-            &jobs,
-            QueueKind::BinaryHeap,
-        );
-        let (mb, tb, eb) = run_jobs(
-            MachineConfig::default(),
-            make_net(topo),
-            &jobs,
-            QueueKind::Calendar,
-        );
-        assert_eq!(ta, tb, "case {case}: end times differ");
-        assert_eq!(ea, eb, "case {case}: event counts differ");
-        let fa: Vec<SimTime> = ma.jobs().iter().map(|j| j.finished_at).collect();
-        let fb: Vec<SimTime> = mb.jobs().iter().map(|j| j.finished_at).collect();
-        assert_eq!(fa, fb, "case {case}: completion times differ");
-    }
-}
-
 /// Response time is bounded below by the critical path: load plus the
 /// coordinator's own compute and messaging costs.
 #[test]
@@ -276,12 +232,7 @@ fn response_respects_critical_path() {
         let topo = random_topo(&mut rng);
         let fj = random_forkjoin(&mut rng);
         let cfg = MachineConfig::default();
-        let (m, _, _) = run_jobs(
-            cfg.clone(),
-            make_net(topo),
-            std::slice::from_ref(&fj),
-            QueueKind::BinaryHeap,
-        );
+        let m = run_jobs(cfg.clone(), make_net(topo), std::slice::from_ref(&fj));
         let job = m.job(JobId(0));
         let lower = SimDuration::from_micros(fj.work_us); // one work phase
         assert!(
@@ -313,7 +264,7 @@ fn switching_modes_complete() {
         ] {
             let mut cfg = MachineConfig::default();
             cfg.switching = switching;
-            let (m, _, _) = run_jobs(cfg, make_net(topo), &jobs, QueueKind::BinaryHeap);
+            let m = run_jobs(cfg, make_net(topo), &jobs);
             assert!(m.all_jobs_done(), "case {case}: {switching:?} stalled");
             counts.push(m.counters.messages_consumed);
         }

@@ -410,41 +410,6 @@ fn determinism_same_seeded_run_twice() {
 }
 
 #[test]
-fn both_engine_backends_agree() {
-    let run_with = |kind: QueueKind| {
-        let mut m = Machine::new(MachineConfig::default(), SystemNet::single(&build::linear(4).unwrap()));
-        let spec = JobSpec {
-            name: "backend".into(),
-            ship_bytes: 0,
-            procs: vec![
-                ProcSpec {
-                    program: vec![
-                        Op::Send { to: Rank(1), bytes: 2048, tag: Tag(1) },
-                        Op::Compute(SimDuration::from_millis(3)),
-                        Op::Recv { tag: Tag(2) },
-                    ],
-                    mem_bytes: 0,
-                },
-                ProcSpec {
-                    program: vec![
-                        Op::Recv { tag: Tag(1) },
-                        Op::Compute(SimDuration::from_millis(4)),
-                        Op::Send { to: Rank(0), bytes: 512, tag: Tag(2) },
-                    ],
-                    mem_bytes: 0,
-                },
-            ],
-        };
-        let job = m.queue_job(spec, vec![0, 3], SimDuration::from_millis(2));
-        let mut engine = Engine::new(kind);
-        engine.seed(SimTime::ZERO, Event::Admit { job });
-        assert_eq!(engine.run(&mut m), RunOutcome::Drained);
-        (engine.now(), engine.events_processed())
-    };
-    assert_eq!(run_with(QueueKind::BinaryHeap), run_with(QueueKind::Calendar));
-}
-
-#[test]
 fn timeline_records_compute_handlers_and_messages() {
     let mut cfg = MachineConfig::default();
     cfg.record_timeline = true;

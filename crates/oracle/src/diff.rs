@@ -1,7 +1,7 @@
 //! The differential harness: one scenario, two engines, zero tolerance.
 //!
 //! Both runs construct identical machines and drivers; the only difference
-//! is the engine driving them — the optimized three-tier
+//! is the engine driving them — the optimized two-tier
 //! [`parsched_des::Engine`] versus the naive [`OracleEngine`]. The
 //! [`TraceModel`] wrapper records every `(time, event)` the engine hands
 //! the model, so a comparison failure points at the *first* event where
@@ -14,9 +14,7 @@
 use crate::engine::OracleEngine;
 use crate::scenario::Scenario;
 use parsched_core::{run_batch_sharded, Driver, ExperimentConfig};
-use parsched_des::{
-    Engine, EventScheduler, EventSeeder, Model, QueueKind, RunOutcome, SimDuration, SimTime,
-};
+use parsched_des::{Engine, EventScheduler, EventSeeder, Model, RunOutcome, SimDuration, SimTime};
 use parsched_machine::{Counters, Event, JobSpec, Machine, SystemNet};
 use std::path::PathBuf;
 
@@ -155,7 +153,7 @@ fn run_capture<Eng: DiffEngine<Event>>(
     })
 }
 
-/// Run `scenario` under the optimized engine with the scenario's backend.
+/// Run `scenario` under the optimized engine.
 pub fn run_optimized(scenario: &Scenario) -> Result<RunCapture, String> {
     let config = scenario.config();
     run_capture(
@@ -168,10 +166,7 @@ pub fn run_optimized(scenario: &Scenario) -> Result<RunCapture, String> {
 
 /// Run `scenario` under the naive reference engine.
 pub fn run_oracle(scenario: &Scenario) -> Result<RunCapture, String> {
-    let mut config = scenario.config();
-    // The backend knob is meaningless to the oracle; normalize it so the
-    // capture metadata can't suggest otherwise.
-    config.queue = QueueKind::BinaryHeap;
+    let config = scenario.config();
     run_capture(
         OracleEngine::new(),
         &config,

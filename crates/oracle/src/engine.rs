@@ -3,19 +3,19 @@
 //! [`OracleEngine`] is the simplest event loop that can honor the
 //! [`EventScheduler`] contract: one `std::collections::BinaryHeap` ordered
 //! by the packed `(time, seq)` key, nothing else. No now-queue bypass, no
-//! timing wheel, no calendar buckets, no adaptive migration — every
-//! optimization in `parsched-des` is deliberately absent, so any
-//! divergence between the two engines on the same model is a bug in one of
-//! them (and the smart money is on the optimized one).
+//! hand-rolled 4-ary heap, no timer slot slab — every optimization in
+//! `parsched-des` is deliberately absent, so any divergence between the
+//! two engines on the same model is a bug in one of them (and the smart
+//! money is on the optimized one).
 //!
-//! The only subtlety is cancellation. The optimized engine removes a
-//! cancelled timer from its wheel *eagerly*, so the timer never occupies
-//! the pending set nor counts toward `events_processed`. A bare heap
-//! cannot remove from the middle, so the oracle keeps a tombstone set of
-//! cancelled keys and discards matching corpses at peek time — before the
-//! horizon check and before anything is counted — which reproduces the
-//! eager semantics observably exactly: same event order, same
-//! `events_processed`, same `pending()` at every step.
+//! The only subtlety is cancellation. Neither engine can remove from the
+//! middle of a heap, so both cancel lazily, by different means: the
+//! optimized engine frees the timer's slab slot and recognises the corpse
+//! by a seq mismatch; the oracle keeps plain sets of live and cancelled
+//! keys and discards matching corpses at peek time — before the horizon
+//! check and before anything is counted. A cancelled timer therefore never
+//! fires, never counts toward `events_processed` and never shows in
+//! `pending()`, in either engine.
 
 use parsched_des::{EventScheduler, EventSeeder, Model, RunOutcome, SimTime, TimerHandle};
 use std::cmp::Reverse;
@@ -98,7 +98,7 @@ impl<E> OracleEngine<E> {
     }
 
     /// Total events processed so far (cancelled timers never count, same
-    /// as the optimized engine's eager-cancel accounting).
+    /// as in the optimized engine).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }

@@ -1,8 +1,8 @@
 //! # parsched-oracle
 //!
-//! The correctness backstop for the optimized simulation stack: PRs keep
-//! rewriting the hot paths (slab messaging, calendar/adaptive queues,
-//! now-queue bypass, timing wheel with eager cancel) under a promise of
+//! The correctness backstop for the optimized simulation stack: the hot
+//! paths (slab messaging, the now-queue bypass, the 4-ary future-event
+//! heap with slot-slab timer cancellation) are held to a promise of
 //! bit-identical simulated results, and this crate is what holds them to
 //! it.
 //!

@@ -13,7 +13,7 @@
 //! time-sharing over sub-partitions), both applications, and both software
 //! architectures are covered *by construction*: case `i` takes combination
 //! `i mod 48` of that cross product, and only the remaining knobs
-//! (partition size, batch mix, queue backend, switching, placement,
+//! (partition size, batch mix, switching, placement,
 //! discipline, ordering, arrivals) are randomized.
 
 use parsched_arrivals::{
@@ -21,7 +21,7 @@ use parsched_arrivals::{
 };
 use parsched_core::{Discipline, ExperimentConfig, Placement, PolicyKind};
 use parsched_des::rng::DetRng;
-use parsched_des::{QueueKind, SimDuration, SimTime};
+use parsched_des::{SimDuration, SimTime};
 use parsched_machine::{FaultPlan, JobSpec, LinkWindow, NodeCrash, RetryPolicy, Switching};
 use parsched_topology::TopologyKind;
 use parsched_workload::{paper_batch, App, Arch, BatchSizes, CostModel};
@@ -86,9 +86,6 @@ pub struct Scenario {
     pub sizes: BatchSizes,
     /// Submission ordering.
     pub order: Order,
-    /// Backend of the *optimized* engine under test (the oracle always
-    /// uses its flat heap).
-    pub queue: QueueKind,
     /// Message switching scheme.
     pub switching: Switching,
     /// Time-sharing coordination discipline.
@@ -172,10 +169,6 @@ impl Scenario {
         let order = pick(
             &mut rng,
             &[Order::AsGiven, Order::SmallestFirst, Order::LargestFirst],
-        );
-        let queue = pick(
-            &mut rng,
-            &[QueueKind::BinaryHeap, QueueKind::Calendar, QueueKind::Adaptive],
         );
         let switching = pick(
             &mut rng,
@@ -407,7 +400,6 @@ impl Scenario {
             arch,
             sizes,
             order,
-            queue,
             switching,
             discipline,
             placement,
@@ -423,7 +415,6 @@ impl Scenario {
         let mut config =
             ExperimentConfig::paper(self.partition_size, self.topology, self.class.policy());
         config.system_size = self.system_size;
-        config.queue = self.queue;
         config.machine.switching = self.switching;
         config.discipline = self.discipline;
         config.placement = self.placement;
@@ -456,7 +447,7 @@ impl Scenario {
             "oracle scenario case={case} seed={seed:#x}\n\
              topology={topology:?} system_size={n} partition_size={p} class={class:?}\n\
              app={app:?} arch={arch:?} sizes={sizes:?}\n\
-             order={order:?} queue={queue:?} switching={switching:?}\n\
+             order={order:?} switching={switching:?}\n\
              discipline={discipline:?} placement={placement:?} mpl={mpl:?} \
              shards={shards}\n\
              arrivals={arrivals:?}\n\
@@ -473,7 +464,6 @@ impl Scenario {
             arch = self.arch,
             sizes = self.sizes,
             order = self.order,
-            queue = self.queue,
             switching = self.switching,
             discipline = self.discipline,
             placement = self.placement,

@@ -134,7 +134,7 @@ fn sharded_runs_are_bit_identical_across_shard_counts() {
 #[test]
 fn coordinated_classes_shard_bit_identically() {
     use parsched_core::{shard_eligibility, Discipline, Placement, ShardMode};
-    use parsched_des::{QueueKind, SimTime};
+    use parsched_des::SimTime;
     use parsched_machine::{FaultPlan, LinkWindow, NodeCrash, Switching};
     use parsched_oracle::{Order, PolicyClass};
     use parsched_topology::TopologyKind;
@@ -185,7 +185,6 @@ fn coordinated_classes_shard_bit_identically() {
                     sort_large: 2000,
                 },
                 order: Order::AsGiven,
-                queue: QueueKind::Adaptive,
                 switching: Switching::PacketizedSaf,
                 discipline: Discipline::Uncoordinated,
                 placement: Placement::RoundRobin,

@@ -28,19 +28,6 @@ fn experiments_are_deterministic() {
     assert_eq!(a.makespan, b.makespan);
 }
 
-/// The calendar-queue and binary-heap engines produce identical histories.
-#[test]
-fn engine_backends_are_equivalent() {
-    let mut heap_cfg = ExperimentConfig::paper(8, MESH, PolicyKind::TimeSharing);
-    heap_cfg.queue = QueueKind::BinaryHeap;
-    let mut cal_cfg = heap_cfg.clone();
-    cal_cfg.queue = QueueKind::Calendar;
-    let heap = run_batch(&heap_cfg, small_batch()).unwrap();
-    let cal = run_batch(&cal_cfg, small_batch()).unwrap();
-    assert_eq!(heap.response_times, cal.response_times);
-    assert_eq!(heap.events, cal.events);
-}
-
 /// Message conservation: everything sent is consumed, everything allocated
 /// is freed, for every paper configuration of both applications.
 #[test]
