@@ -14,24 +14,29 @@
 //! static space-sharing, the hybrid MPL-2 discipline, an MPL-capped
 //! static run, and time-sharing under a crash + flaky-link fault plan —
 //! each bit-identical to its sequential run, none falling back. A tiny
-//! 4096-node torus case covers free mode at the largest machine size, a
-//! wormhole gate runs one K = 2 flit-switched case per topology family
+//! 4096-node torus case covers free mode at a larger machine size, a
+//! 65 792-node store-and-forward torus (the t64k cell) covers the largest,
+//! a wormhole gate runs one K = 2 flit-switched case per topology family
 //! (torus, fat-tree, dragonfly — the t4k cells), and a gang-scheduled
-//! configuration must still fall back with a recorded reason.
+//! configuration must still fall back with a recorded reason. Every
+//! sharded case also checks that the shards' machines add up to the whole
+//! machine (`ShardTiming::nodes`): each shard builds only its own
+//! partitions.
 //!
 //! Full mode sweeps shard counts 1, 2, 4 and prints each run's wall
 //! clock, speedup over sequential, the (identical) simulated mean, and —
 //! when a run fell back to the sequential path — the recorded reason.
-//! A second table breaks each parallel run down per shard (event-loop
-//! work vs. barrier wait vs. cross-shard merge, from
-//! `ShardedRunResult::timings`); the same wall-clock numbers feed
+//! A second table breaks each parallel run down per shard (in-thread
+//! machine build and teardown vs. event-loop work vs. barrier wait vs.
+//! cross-shard merge, plus the shard machine's node count, from
+//! `ShardedRunResult::timings`); the work/barrier/merge numbers feed
 //! `ObsEvent::ShardPhase` events into a `MetricsRegistry` gauge so the
 //! breakdown lands in the metrics CSV next to the simulated gauges.
 //! Both tables render to CSV (`--csv`, or `--out DIR` for `shards.csv`,
 //! `shard_phases.csv` and `shard_phase_gauges.csv`). This is the source
 //! of the scaling tables in `EXPERIMENTS.md`.
 
-use parsched_bench::scale::{t4k, torus1k, torus4k, Cell1k, Cell4k};
+use parsched_bench::scale::{t4k, torus1k, torus4k, tscale, Cell1k, Cell4k, ScalePoint};
 use parsched_core::prelude::*;
 use parsched_core::sharded::run_batch_sharded;
 use parsched_des::{SimDuration, SimTime};
@@ -77,8 +82,25 @@ fn assert_matches(seq: &ShardedRunResult, par: &ShardedRunResult, what: &str) {
     );
 }
 
+/// Every shard of a parallel run simulates only its own partitions: the
+/// shards' machines together cover the machine exactly once.
+fn assert_shards_own_their_partitions(
+    cfg: &ExperimentConfig,
+    par: &ShardedRunResult,
+    what: &str,
+) {
+    let nodes: Vec<usize> = par.timings.iter().map(|t| t.nodes).collect();
+    assert_eq!(
+        nodes.iter().sum::<usize>(),
+        cfg.system_size,
+        "{what}: shard machines {nodes:?} must partition the {}-node machine",
+        cfg.system_size
+    );
+}
+
 /// Run `cfg` sequentially and at 2 shards; the parallel run must really
-/// shard (no fallback) and match bit for bit.
+/// shard (no fallback), match bit for bit, and build only each shard's
+/// own partitions.
 fn assert_shards_bit_identically(cfg: &ExperimentConfig, batch: &[JobSpec], what: &str) {
     let seq = run_batch_sharded(cfg, batch.to_vec(), 1)
         .unwrap_or_else(|e| panic!("{what}: sequential run failed: {e}"));
@@ -87,6 +109,7 @@ fn assert_shards_bit_identically(cfg: &ExperimentConfig, batch: &[JobSpec], what
     assert_eq!(par.fallback, None, "{what}: must not fall back");
     assert_eq!(par.shards, 2, "{what}: must use 2 shards");
     assert_matches(&seq, &par, what);
+    assert_shards_own_their_partitions(cfg, &par, what);
     println!("shards --smoke: {what}: OK (K=2 bit-identical)");
 }
 
@@ -99,6 +122,7 @@ fn smoke() {
     assert_eq!(par.shards, 2, "eligible configuration must shard");
     assert_eq!(par.fallback, None);
     assert_matches(&seq, &par, "2-shard vs sequential");
+    assert_shards_own_their_partitions(&cfg, &par, "free mode");
 
     let again = run_batch_sharded(&cfg, batch.clone(), 2).expect("2-shard rerun completes");
     assert_eq!(
@@ -138,6 +162,12 @@ fn smoke() {
 
     let (t4_cfg, t4_batch) = torus4k();
     assert_shards_bit_identically(&t4_cfg, &t4_batch, "4096-node torus (free mode)");
+
+    // The largest store-and-forward cell: 65 792 nodes, where building a
+    // whole machine per shard is what sharding used to pay for.
+    let (t64_cfg, t64_batch) =
+        tscale(Cell4k::Torus, ScalePoint::T64k, Switching::StoreAndForward);
+    assert_shards_bit_identically(&t64_cfg, &t64_batch, "t64k torus store-and-forward");
 
     // Wormhole smoke gate: one K = 2 case per topology family under
     // flit-level switching — the t4k cells whose goldens `perf --check`
@@ -226,9 +256,11 @@ fn sweep(counts: &[usize]) -> (FigureTable, FigureTable, String) {
                 static_mean: None,
                 ts_mean: None,
                 extra: vec![
+                    format!("{:.3}", t.build_ns as f64 / 1e9),
                     format!("{:.3}", t.work_ns as f64 / 1e9),
                     format!("{:.3}", t.barrier_ns as f64 / 1e9),
                     format!("{:.3}", t.merge_ns as f64 / 1e9),
+                    format!("{}", t.nodes),
                 ],
             });
         }
@@ -261,7 +293,13 @@ fn sweep(counts: &[usize]) -> (FigureTable, FigureTable, String) {
     };
     let phases = FigureTable {
         title: "Per-shard wall-clock phases (rows are shards/run)".into(),
-        columns: vec!["work (s)".into(), "barrier (s)".into(), "merge (s)".into()],
+        columns: vec![
+            "build (s)".into(),
+            "work (s)".into(),
+            "barrier (s)".into(),
+            "merge (s)".into(),
+            "nodes".into(),
+        ],
         rows: phase_rows,
     };
     (table, phases, gauge_csv)

@@ -5,18 +5,21 @@
 //! partitions evolve independently once the *global* super-scheduler
 //! decisions — admission order, host-link load serialization, queue pops,
 //! fault requeues — are accounted for. [`run_batch_sharded`] cuts the
-//! partition plan into `K` contiguous shards ([`ShardPlan`]), gives each
-//! shard its own [`Machine`] + [`Driver`] on its own thread, and picks one
-//! of two execution modes ([`shard_eligibility`]):
+//! partition plan into `K` contiguous shards ([`ShardPlan`]). Each shard
+//! builds, runs and drops its own [`Machine`] + [`Driver`] on its own
+//! thread, and that machine covers only the shard's partitions, renumbered
+//! from processor 0 ([`SystemNet::for_partitions`],
+//! [`PartitionPlan::sub_plan`]). The run picks one of two execution modes
+//! ([`shard_eligibility`]):
 //!
 //! * **free** ([`ShardMode::Free`]) — uncoordinated time-sharing of a
 //!   closed batch under an unbounded MPL with no faults. Every global
 //!   coupling is precomputable: admission degenerates to round-robin
 //!   (job `i` lands on partition `i mod P`, kept exact by
 //!   [`Driver::with_job_indices`]) and the host-link serialization is a
-//!   prefix sum ([`Driver::with_load_floors`]). Shards run under the
-//!   conservative windowed engine ([`ShardedEngine`]) with no runtime
-//!   coordination at all.
+//!   prefix sum ([`Driver::with_load_floors`]). No channel joins two
+//!   partitions, so the shards are independent: each runs its engine to
+//!   the end with no runtime coordination at all.
 //! * **coordinated** ([`ShardMode::Coordinated`]) — static and hybrid
 //!   (finite-MPL) policies, whose global FCFS queue pops on completions,
 //!   and fault plans, whose requeues re-place jobs across partitions.
@@ -27,7 +30,7 @@
 //!   in the sequential order — global `(time, partition)` — handing back
 //!   [`CoordGrant`]s that seed the admission into the paused engine.
 //!   Fault plans are split along shard boundaries
-//!   ([`parsched_machine::FaultPlan::slice_for_nodes`]) so each declared
+//!   ([`parsched_machine::FaultPlan::slice_for_range`]) so each declared
 //!   fault is seeded exactly once, by its owner.
 //!
 //! Both modes reproduce the sequential run's observables — per-job
@@ -41,11 +44,8 @@
 use crate::driver::{CoordGrant, CoordRequest, Driver};
 use crate::experiment::{ExperimentConfig, RunError};
 use crate::policy::{Discipline, PolicyKind};
-use parsched_des::{
-    Engine, Lookahead, RunOutcome, ShardTiming, ShardedEngine, SimDuration, SimTime, Solo,
-    Summary,
-};
-use parsched_machine::{Counters, Event, JobSpec, Machine, MachineConfig, SystemNet};
+use parsched_des::{Engine, RunOutcome, ShardTiming, SimDuration, SimTime, Summary};
+use parsched_machine::{Counters, Event, JobSpec, Machine, SystemNet};
 use parsched_topology::{PartitionPlan, ShardPlan};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -139,6 +139,16 @@ pub enum ShardMode {
 /// takes a closed batch); an arrival-time admission also depends on the
 /// global load picture.
 pub fn shard_eligibility(config: &ExperimentConfig) -> Result<ShardMode, &'static str> {
+    eligibility(config, config.try_plan().ok().as_ref())
+}
+
+/// [`shard_eligibility`] over the call's partition plan (`None` when the
+/// configuration has no realizable plan), so a sharded call builds its
+/// plan once.
+fn eligibility(
+    config: &ExperimentConfig,
+    plan: Option<&PartitionPlan>,
+) -> Result<ShardMode, &'static str> {
     if matches!(config.discipline, Discipline::Gang { .. }) {
         return Err("gang scheduling: rotation ticks couple partitions");
     }
@@ -158,12 +168,12 @@ pub fn shard_eligibility(config: &ExperimentConfig) -> Result<ShardMode, &'stati
     if coordinated && config.machine.job_load_latency == SimDuration::ZERO {
         return Err("zero-latency job loads: a granted admission would race same-instant starts");
     }
-    match config.try_plan() {
-        Err(_) => Err("unrealizable partition plan"),
-        Ok(plan) if plan.count() < 2 => {
+    match plan {
+        None => Err("unrealizable partition plan"),
+        Some(plan) if plan.count() < 2 => {
             Err("single partition: shards cannot cut below partition granularity")
         }
-        Ok(_) => Ok(if coordinated {
+        Some(_) => Ok(if coordinated {
             ShardMode::Coordinated
         } else {
             ShardMode::Free
@@ -180,41 +190,15 @@ pub fn default_shards(config: &ExperimentConfig) -> usize {
     parts.min(cpus).clamp(1, 8)
 }
 
-/// Classify the lookahead the shard cut admits. No cross-shard channel
-/// (the paper's wiring: partitions are closed) means the shards are
-/// independent; otherwise the cheapest cross-shard interaction is one
-/// store-and-forward hop, bounded below by the link startup time.
-fn classify_lookahead(
-    net: &SystemNet,
-    partition_size: usize,
-    shard_plan: &ShardPlan,
-    cfg: &MachineConfig,
-) -> Result<Lookahead, &'static str> {
-    let crossing = net.channels().iter().any(|c| {
-        let a = shard_plan.shard_of(c.from as usize / partition_size);
-        let b = shard_plan.shard_of(c.to as usize / partition_size);
-        a != b
-    });
-    if !crossing {
-        return Ok(Lookahead::Independent);
-    }
-    if cfg.link_startup.nanos() == 0 {
-        return Err("zero-latency cross-shard links admit no lookahead window");
-    }
-    Ok(Lookahead::Finite(cfg.link_startup))
-}
-
 /// The sequential path, producing the same observable set as the sharded
 /// one (mirrors `experiment::execute` without instrumentation, keeping
 /// the machine counters accessible).
 fn run_sequential(
     config: &ExperimentConfig,
+    plan: PartitionPlan,
     batch: Vec<JobSpec>,
     fallback: Option<&'static str>,
 ) -> Result<ShardedRunResult, RunError> {
-    let plan = config.try_plan().map_err(|e| {
-        RunError::aborted(format!("unrealizable configuration {}: {e}", config.label()))
-    })?;
     let machine = Machine::new(config.machine.clone(), SystemNet::from_plan(&plan));
     let mut driver = Driver::new(
         machine,
@@ -261,44 +245,204 @@ pub fn run_batch_sharded(
     batch: Vec<JobSpec>,
     shards: usize,
 ) -> Result<ShardedRunResult, RunError> {
+    let plan = config.try_plan().map_err(|e| {
+        RunError::aborted(format!("unrealizable configuration {}: {e}", config.label()))
+    })?;
     if shards <= 1 {
-        return run_sequential(config, batch, None);
+        return run_sequential(config, plan, batch, None);
     }
-    let mode = match shard_eligibility(config) {
+    let mode = match eligibility(config, Some(&plan)) {
         Ok(mode) => mode,
-        Err(reason) => return run_sequential(config, batch, Some(reason)),
+        Err(reason) => return run_sequential(config, plan, batch, Some(reason)),
     };
-    let plan = config.plan();
     let shard_plan = ShardPlan::contiguous(plan.count(), shards);
     debug_assert!(
         shard_plan.shards >= 2,
         "eligibility guarantees at least two partitions"
     );
     match mode {
-        ShardMode::Free => run_free(config, batch, plan, shard_plan),
-        ShardMode::Coordinated => run_coordinated(config, batch, plan, shard_plan),
+        ShardMode::Free => run_free(config, batch, &plan, &shard_plan),
+        ShardMode::Coordinated => run_coordinated(config, batch, plan, &shard_plan),
     }
 }
 
-/// The free mode: precomputed admission + load floors, no runtime
-/// coordination, conservative windowed engine.
+/// Build shard `s`'s driver over a machine of only the partitions it owns,
+/// renumbered from 0 — the sub-network ([`SystemNet::for_partitions`]),
+/// the matching sub-plan and the shard's slice of the fault plan. The
+/// driver schedules `members` (global batch indices) with their host-link
+/// load `floors`. Everything that depends on the whole machine's
+/// numbering is fixed here, at construction: placement staggering reads
+/// the global batch index, and the drop lottery the machine-wide channel
+/// index (`SystemNet::channel_base`).
+fn build_shard(
+    config: &ExperimentConfig,
+    plan: &PartitionPlan,
+    shard_plan: &ShardPlan,
+    s: usize,
+    batch: &[JobSpec],
+    members: &[usize],
+    floors: Vec<SimTime>,
+) -> Driver {
+    let parts = shard_plan.range_of(s);
+    let nodes = plan.node_range(parts.clone());
+    let id = |n: usize| u32::try_from(n).expect("processor index fits u32");
+    let mut mc = config.machine.clone();
+    mc.faults = config
+        .machine
+        .faults
+        .slice_for_range(id(nodes.start)..id(nodes.end));
+    let machine = Machine::new(mc, SystemNet::for_partitions(plan, parts.clone()));
+    let mut driver = Driver::new(
+        machine,
+        plan.sub_plan(parts),
+        config.policy,
+        config.rule,
+        config.placement,
+        members.iter().map(|&i| batch[i].clone()).collect(),
+    );
+    if let Some(m) = config.mpl {
+        driver = driver.with_mpl(m);
+    }
+    driver
+        .with_discipline(config.discipline)
+        .with_job_indices(members.to_vec())
+        .with_load_floors(floors)
+}
+
+/// Build a shard on the calling (shard) thread: `build` makes the driver,
+/// which is started into a fresh engine. The construction time and the
+/// machine's size go into the returned timing.
+fn start_shard(
+    config: &ExperimentConfig,
+    build: impl FnOnce() -> Driver,
+) -> (Driver, Engine<Event>, ShardTiming) {
+    let t = Instant::now();
+    let mut driver = build();
+    let mut engine: Engine<Event> = Engine::new(config.queue);
+    engine.max_events = config.machine.max_events;
+    driver.start(&mut engine);
+    let timing = ShardTiming {
+        build_ns: t.elapsed().as_nanos() as u64,
+        nodes: driver.machine.net().nodes(),
+        ..ShardTiming::default()
+    };
+    (driver, engine, timing)
+}
+
+/// What a shard thread hands back once its machine is gone.
+struct ShardOut {
+    /// `(global batch index, response time)` of every job the shard owns
+    /// at the end; empty when it left work unfinished.
+    responses: Vec<(usize, SimDuration)>,
+    counters: Counters,
+    events: u64,
+    now: SimTime,
+    /// The driver's stall diagnosis, when the shard left work unfinished.
+    unfinished: Option<String>,
+    timing: ShardTiming,
+}
+
+impl ShardOut {
+    /// Summarize a shard, then drop its driver (machine included) and
+    /// engine on the calling thread, timing the teardown as construction.
+    fn finish(driver: Driver, engine: Engine<Event>, timing: ShardTiming) -> ShardOut {
+        let done = driver.all_done();
+        let mut out = ShardOut {
+            responses: if done { driver.owned_responses() } else { Vec::new() },
+            counters: driver.machine.counters.clone(),
+            events: engine.events_processed(),
+            now: engine.now(),
+            unfinished: (!done).then(|| driver.diagnose()),
+            timing,
+        };
+        let t = Instant::now();
+        drop((driver, engine));
+        out.timing.build_ns += t.elapsed().as_nanos() as u64;
+        out
+    }
+}
+
+/// Run `body(s)` for every shard `s < k`, each on its own scoped thread,
+/// and collect the results in shard order. A panicking shard re-raises
+/// its panic here, after every thread has joined.
+fn in_shard_threads<T: Send>(k: usize, body: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    std::thread::scope(|scope| {
+        let body = &body;
+        let handles: Vec<_> = (0..k).map(|s| scope.spawn(move || body(s))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
+    })
+}
+
+/// Merge the shards' outputs into the run's observables: responses by
+/// global batch index, counters and events summed, the latest clock as the
+/// makespan. A run that did not drain (`outcome`), or a shard that left
+/// work unfinished, is an error carrying every unfinished shard's
+/// diagnosis.
+fn merge(
+    outs: Vec<ShardOut>,
+    n: usize,
+    outcome: RunOutcome,
+) -> Result<ShardedRunResult, RunError> {
+    if outcome != RunOutcome::Drained || outs.iter().any(|o| o.unfinished.is_some()) {
+        let mut diagnosis = String::new();
+        for (s, out) in outs.iter().enumerate() {
+            if let Some(d) = &out.unfinished {
+                diagnosis.push_str(&format!("shard {s}:\n{d}\n"));
+            }
+        }
+        return Err(RunError {
+            outcome: Some(outcome),
+            diagnosis,
+        });
+    }
+    let shards = outs.len();
+    let mut response_times = vec![SimDuration::ZERO; n];
+    let mut seen = vec![false; n];
+    let mut counters = Counters::default();
+    let mut events = 0u64;
+    let mut makespan = SimTime::ZERO;
+    let mut timings = Vec::with_capacity(shards);
+    for out in outs {
+        for (g, d) in out.responses {
+            debug_assert!(!seen[g], "two shards report the same job");
+            seen[g] = true;
+            response_times[g] = d;
+        }
+        counters.absorb(&out.counters);
+        events += out.events;
+        makespan = makespan.max(out.now);
+        timings.push(out.timing);
+    }
+    debug_assert!(seen.iter().all(|&done| done), "every job reported exactly once");
+    let summary = Summary::of_durations(&response_times);
+    Ok(ShardedRunResult {
+        response_times,
+        summary,
+        makespan: makespan.since(SimTime::ZERO),
+        counters,
+        events,
+        shards,
+        fallback: None,
+        timings,
+    })
+}
+
+/// The free mode: precomputed admission + load floors and no runtime
+/// coordination. Shards own whole partitions and partitions are wired
+/// closed ([`SystemNet::for_partitions`] never joins two of them), so the
+/// shards are independent: each one builds its machine, runs its engine
+/// to the end and drops the machine, all on its own thread.
 fn run_free(
     config: &ExperimentConfig,
     batch: Vec<JobSpec>,
-    plan: PartitionPlan,
-    shard_plan: ShardPlan,
+    plan: &PartitionPlan,
+    shard_plan: &ShardPlan,
 ) -> Result<ShardedRunResult, RunError> {
     let p = plan.count();
     let k = shard_plan.shards;
-    let lookahead = match classify_lookahead(
-        &SystemNet::from_plan(&plan),
-        plan.partition_size,
-        &shard_plan,
-        &config.machine,
-    ) {
-        Ok(l) => l,
-        Err(reason) => return run_sequential(config, batch, Some(reason)),
-    };
 
     // Host-link serialization: job i's load starts once loads 0..i are
     // done (all arrive at t = 0 and admission is immediate, so the
@@ -317,76 +461,24 @@ fn run_free(
         members_of[shard_plan.shard_of(i % p)].push(i);
     }
 
-    let mut drivers = Vec::with_capacity(k);
-    for (s, members) in members_of.iter().enumerate() {
-        let sub_plan = PartitionPlan {
-            system_size: plan.system_size,
-            partition_size: plan.partition_size,
-            partitions: shard_plan
-                .partitions_of(s)
-                .iter()
-                .map(|&q| plan.partitions[q].clone())
-                .collect(),
-        };
-        // Each shard simulates the full node/link array (its partitions
-        // never talk to the others', so the rest sits idle); the driver
-        // only schedules onto the shard's own partitions.
-        let machine = Machine::new(config.machine.clone(), SystemNet::from_plan(&plan));
-        let driver = Driver::new(
-            machine,
-            sub_plan,
-            config.policy,
-            config.rule,
-            config.placement,
-            members.iter().map(|&i| batch[i].clone()).collect(),
-        )
-        .with_discipline(config.discipline)
-        .with_job_indices(members.clone())
-        .with_load_floors(members.iter().map(|&i| floors[i]).collect());
-        drivers.push(driver);
-    }
-
-    let mut sharded: ShardedEngine<Event> = ShardedEngine::new(k, lookahead);
-    for (s, driver) in drivers.iter_mut().enumerate() {
-        let engine = sharded.shard_mut(s);
-        engine.max_events = config.machine.max_events;
-        driver.start(engine);
-    }
-    let mut models: Vec<Solo<Driver>> = drivers.into_iter().map(Solo).collect();
-    let outcome = sharded.run(&mut models);
-    if outcome != RunOutcome::Drained || models.iter().any(|m| !m.0.all_done()) {
-        let mut diagnosis = String::new();
-        for (s, m) in models.iter().enumerate() {
-            if !m.0.all_done() {
-                diagnosis.push_str(&format!("shard {s}:\n{}\n", m.0.diagnose()));
-            }
-        }
-        return Err(RunError {
-            outcome: Some(outcome),
-            diagnosis,
+    let runs = in_shard_threads(k, |s| {
+        let members = &members_of[s];
+        let (mut driver, mut engine, mut timing) = start_shard(config, || {
+            let own_floors = members.iter().map(|&i| floors[i]).collect();
+            build_shard(config, plan, shard_plan, s, &batch, members, own_floors)
         });
-    }
+        let t = Instant::now();
+        let outcome = engine.run(&mut driver);
+        timing.work_ns = t.elapsed().as_nanos() as u64;
+        (outcome, ShardOut::finish(driver, engine, timing))
+    });
 
-    let mut response_times = vec![SimDuration::ZERO; batch.len()];
-    let mut counters = Counters::default();
-    for (s, m) in models.iter().enumerate() {
-        let local = m.0.response_times();
-        for (j, &i) in members_of[s].iter().enumerate() {
-            response_times[i] = local[j];
-        }
-        counters.absorb(&m.0.machine.counters);
-    }
-    let summary = Summary::of_durations(&response_times);
-    Ok(ShardedRunResult {
-        response_times,
-        summary,
-        makespan: sharded.now().since(SimTime::ZERO),
-        counters,
-        events: sharded.events_processed(),
-        shards: k,
-        fallback: None,
-        timings: sharded.timings().to_vec(),
-    })
+    let outcome = runs
+        .iter()
+        .map(|(o, _)| *o)
+        .find(|&o| o != RunOutcome::Drained)
+        .unwrap_or(RunOutcome::Drained);
+    merge(runs.into_iter().map(|(_, o)| o).collect(), batch.len(), outcome)
 }
 
 /// What one shard publishes to the leader at the end of each round.
@@ -662,7 +754,7 @@ fn run_coordinated(
     config: &ExperimentConfig,
     batch: Vec<JobSpec>,
     plan: PartitionPlan,
-    shard_plan: ShardPlan,
+    shard_plan: &ShardPlan,
 ) -> Result<ShardedRunResult, RunError> {
     let p = plan.count();
     let k = shard_plan.shards;
@@ -718,63 +810,6 @@ fn run_coordinated(
     let specs: Arc<Vec<JobSpec>> = Arc::new(batch.clone());
     let queue_active = Arc::new(AtomicBool::new(prefill < n));
 
-    let mut drivers = Vec::with_capacity(k);
-    let mut engines: Vec<Engine<Event>> = Vec::with_capacity(k);
-    for (s, members) in members_of.iter().enumerate() {
-        let sub_plan = PartitionPlan {
-            system_size: plan.system_size,
-            partition_size: plan.partition_size,
-            partitions: shard_plan
-                .partitions_of(s)
-                .iter()
-                .map(|&q| plan.partitions[q].clone())
-                .collect(),
-        };
-        // Full node/link array per shard (idle outside its partitions),
-        // but only the shard-owned slice of the fault plan: each declared
-        // crash and link window is seeded exactly once, by its owner.
-        let mut mc = config.machine.clone();
-        mc.faults = config
-            .machine
-            .faults
-            .slice_for_nodes(|node| shard_plan.owns_node(s, node, plan.partition_size));
-        let machine = Machine::new(mc, SystemNet::from_plan(&plan));
-        let mut driver = Driver::new(
-            machine,
-            sub_plan,
-            config.policy,
-            config.rule,
-            config.placement,
-            members.iter().map(|&i| batch[i].clone()).collect(),
-        );
-        if let Some(m) = config.mpl {
-            driver = driver.with_mpl(m);
-        }
-        let deferred: Vec<bool> = members.iter().map(|&i| i >= prefill).collect();
-        let driver = driver
-            .with_discipline(config.discipline)
-            .with_job_indices(members.clone())
-            .with_load_floors(
-                members
-                    .iter()
-                    .map(|&i| floors.get(i).copied().unwrap_or(SimTime::ZERO))
-                    .collect(),
-            )
-            .with_coordination(
-                queue_active.clone(),
-                specs.clone(),
-                shard_plan.partitions_of(s),
-                deferred,
-            );
-        drivers.push(driver);
-        let mut engine: Engine<Event> = Engine::new(config.queue);
-        engine.max_events = config.machine.max_events;
-        engines.push(engine);
-    }
-    for (driver, engine) in drivers.iter_mut().zip(engines.iter_mut()) {
-        driver.start(engine);
-    }
-
     let mut crash_times: Vec<SimTime> =
         config.machine.faults.crashes.iter().map(|c| c.at).collect();
     crash_times.sort_unstable();
@@ -799,137 +834,128 @@ fn run_coordinated(
     let barrier = Barrier::new(k);
     let panic_box: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
 
-    let shard_results: Vec<(Driver, Engine<Event>, ShardTiming)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = drivers
-            .into_iter()
-            .zip(engines)
-            .enumerate()
-            .map(|(s, (mut driver, mut engine))| {
-                let (ctrl, reports, grants, barrier, panic_box) =
-                    (&ctrl, &reports, &grants, &barrier, &panic_box);
-                let (queue_active, specs, shard_plan) = (&queue_active, &specs, &shard_plan);
-                scope.spawn(move || {
-                    let mut timing = ShardTiming::default();
-                    loop {
-                        let t_work = Instant::now();
-                        let round = catch_unwind(AssertUnwindSafe(|| {
-                            let (my_grants, may_run, horizon) = {
-                                let c = lk(ctrl);
-                                (
-                                    std::mem::take(&mut *lk(&grants[s])),
-                                    c.outstanding[s].is_empty(),
-                                    c.horizon,
-                                )
-                            };
-                            driver.apply_grants(&my_grants, &mut engine);
-                            let outcome = if may_run {
-                                Some(engine.run_until(&mut driver, horizon))
-                            } else {
-                                None
-                            };
-                            let requests = driver.take_requests();
-                            if !requests.is_empty() {
-                                lk(ctrl).outstanding[s].extend(requests);
-                            }
-                            *lk(&reports[s]) = Report {
-                                now: engine.now(),
-                                drained: engine.pending() == 0,
-                                done: driver.all_done(),
-                                budget_hit: outcome == Some(RunOutcome::BudgetExhausted),
-                                loads: driver.partition_loads(),
-                            };
-                        }));
-                        if let Err(payload) = round {
-                            lk(panic_box).get_or_insert(payload);
-                            let mut c = lk(ctrl);
-                            c.abort.get_or_insert("a shard thread panicked");
-                            c.finished = true;
-                        }
-                        timing.work_ns += t_work.elapsed().as_nanos() as u64;
-                        let t_bar = Instant::now();
-                        barrier.wait();
-                        timing.barrier_ns += t_bar.elapsed().as_nanos() as u64;
-                        if s == 0 {
-                            let t_merge = Instant::now();
-                            let led = catch_unwind(AssertUnwindSafe(|| {
-                                leader_round(
-                                    ctrl,
-                                    reports,
-                                    grants,
-                                    queue_active,
-                                    specs,
-                                    config,
-                                    shard_plan,
-                                    p,
-                                );
-                            }));
-                            if let Err(payload) = led {
-                                lk(panic_box).get_or_insert(payload);
-                                let mut c = lk(ctrl);
-                                c.abort.get_or_insert("the coordination leader panicked");
-                                c.finished = true;
-                            }
-                            timing.merge_ns += t_merge.elapsed().as_nanos() as u64;
-                        }
-                        let t_bar = Instant::now();
-                        barrier.wait();
-                        timing.barrier_ns += t_bar.elapsed().as_nanos() as u64;
-                        if lk(ctrl).finished {
-                            break;
-                        }
-                    }
-                    (driver, engine, timing)
-                })
+    // Each shard builds its driver on its own thread before its first
+    // round. No shard reads another's state before the first barrier, so
+    // this leaves the protocol unchanged; a panic while building takes the
+    // same abort path as one while running (the shard keeps meeting the
+    // barriers with nothing to run).
+    let shard_results: Vec<Option<ShardOut>> = in_shard_threads(k, |s| {
+        let built = catch_unwind(AssertUnwindSafe(|| {
+            start_shard(config, || {
+                let members = &members_of[s];
+                let deferred = members.iter().map(|&i| i >= prefill).collect();
+                let own_floors = members
+                    .iter()
+                    .map(|&i| floors.get(i).copied().unwrap_or(SimTime::ZERO))
+                    .collect();
+                build_shard(config, &plan, shard_plan, s, &batch, members, own_floors)
+                    .with_coordination(
+                        queue_active.clone(),
+                        specs.clone(),
+                        shard_plan.partitions_of(s),
+                        deferred,
+                    )
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard panics are routed through the panic box"))
-            .collect()
+        }));
+        let (mut shard, mut timing) = match built {
+            Ok((driver, engine, timing)) => (Some((driver, engine)), timing),
+            Err(payload) => {
+                lk(&panic_box).get_or_insert(payload);
+                let mut c = lk(&ctrl);
+                c.abort.get_or_insert("a shard thread panicked");
+                c.finished = true;
+                (None, ShardTiming::default())
+            }
+        };
+        loop {
+            let t_work = Instant::now();
+            let round = catch_unwind(AssertUnwindSafe(|| {
+                let Some((driver, engine)) = shard.as_mut() else {
+                    return;
+                };
+                let (my_grants, may_run, horizon) = {
+                    let c = lk(&ctrl);
+                    (
+                        std::mem::take(&mut *lk(&grants[s])),
+                        c.outstanding[s].is_empty(),
+                        c.horizon,
+                    )
+                };
+                driver.apply_grants(&my_grants, engine);
+                let outcome = if may_run {
+                    Some(engine.run_until(driver, horizon))
+                } else {
+                    None
+                };
+                let requests = driver.take_requests();
+                if !requests.is_empty() {
+                    lk(&ctrl).outstanding[s].extend(requests);
+                }
+                *lk(&reports[s]) = Report {
+                    now: engine.now(),
+                    drained: engine.pending() == 0,
+                    done: driver.all_done(),
+                    budget_hit: outcome == Some(RunOutcome::BudgetExhausted),
+                    loads: driver.partition_loads(),
+                };
+            }));
+            if let Err(payload) = round {
+                lk(&panic_box).get_or_insert(payload);
+                let mut c = lk(&ctrl);
+                c.abort.get_or_insert("a shard thread panicked");
+                c.finished = true;
+            }
+            timing.work_ns += t_work.elapsed().as_nanos() as u64;
+            let t_bar = Instant::now();
+            barrier.wait();
+            timing.barrier_ns += t_bar.elapsed().as_nanos() as u64;
+            if s == 0 {
+                let t_merge = Instant::now();
+                let led = catch_unwind(AssertUnwindSafe(|| {
+                    leader_round(
+                        &ctrl,
+                        &reports,
+                        &grants,
+                        &queue_active,
+                        &specs,
+                        config,
+                        shard_plan,
+                        p,
+                    );
+                }));
+                if let Err(payload) = led {
+                    lk(&panic_box).get_or_insert(payload);
+                    let mut c = lk(&ctrl);
+                    c.abort.get_or_insert("the coordination leader panicked");
+                    c.finished = true;
+                }
+                timing.merge_ns += t_merge.elapsed().as_nanos() as u64;
+            }
+            let t_bar = Instant::now();
+            barrier.wait();
+            timing.barrier_ns += t_bar.elapsed().as_nanos() as u64;
+            if lk(&ctrl).finished {
+                break;
+            }
+        }
+        shard.map(|(driver, engine)| ShardOut::finish(driver, engine, timing))
     });
 
     if let Some(payload) = lk(&panic_box).take() {
         resume_unwind(payload);
     }
     if let Some(reason) = lk(&ctrl).abort {
-        return run_sequential(config, batch, Some(reason));
+        return run_sequential(config, plan, batch, Some(reason));
     }
-
-    let mut response_times = vec![SimDuration::ZERO; n];
-    let mut seen = vec![false; n];
-    let mut counters = Counters::default();
-    let mut events = 0u64;
-    let mut makespan = SimTime::ZERO;
-    let mut timings = Vec::with_capacity(k);
-    for (driver, engine, timing) in shard_results {
-        for (g, d) in driver.owned_responses() {
-            debug_assert!(!seen[g], "two shards report the same job");
-            seen[g] = true;
-            response_times[g] = d;
-        }
-        counters.absorb(&driver.machine.counters);
-        events += engine.events_processed();
-        makespan = makespan.max(engine.now());
-        timings.push(timing);
-    }
-    debug_assert!(seen.iter().all(|&done| done), "every job reported exactly once");
-    let summary = Summary::of_durations(&response_times);
-    Ok(ShardedRunResult {
-        response_times,
-        summary,
-        makespan: makespan.since(SimTime::ZERO),
-        counters,
-        events,
-        shards: k,
-        fallback: None,
-        timings,
-    })
+    // A shard that failed to build panicked, and that panic resumed above.
+    let outs = shard_results.into_iter().flatten().collect();
+    merge(outs, n, RunOutcome::Drained)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parsched_machine::{FaultPlan, LinkWindow, NodeCrash, Op, ProcSpec, Rank, Tag};
+    use parsched_machine::{FaultPlan, LinkWindow, NodeCrash, Op, ProcSpec, Rank, Switching, Tag};
     use parsched_topology::TopologyKind;
 
     /// 16 nodes in 4-node hypercube partitions under uncoordinated
@@ -1140,6 +1166,63 @@ mod tests {
         };
         let seq = assert_bit_identical(&config, &chatty_batch(8), &[2, 4]);
         assert_eq!(seq.counters.jobs_requeued, 0, "nobody should die here");
+    }
+
+    /// 32 nodes in eight 4-node hypercube partitions, so K = 8 really
+    /// runs eight shards, under the given switching mode.
+    fn eight_partition_config(switching: Switching) -> ExperimentConfig {
+        let mut config = ExperimentConfig {
+            system_size: 32,
+            ..eligible_config()
+        };
+        config.machine.switching = switching;
+        config
+    }
+
+    const SWITCHINGS: [Switching; 2] = [Switching::StoreAndForward, Switching::Wormhole];
+
+    /// Shard machines number channels from 0, but each channel's drop
+    /// lottery must stay keyed by its machine-wide index: every shard
+    /// count must corrupt exactly the transfers the sequential run does.
+    #[test]
+    fn drop_lottery_survives_shard_renumbering() {
+        for switching in SWITCHINGS {
+            let mut config = eight_partition_config(switching);
+            config.machine.faults = FaultPlan {
+                drop_prob: 0.25,
+                drop_seed: 5,
+                ..FaultPlan::default()
+            };
+            config.machine.faults.retry.max_retries = 16;
+            let seq = assert_bit_identical(&config, &chatty_batch(16), &[2, 3, 4, 8]);
+            assert!(seq.counters.retries > 0, "{switching:?}: the lottery must fire");
+        }
+    }
+
+    /// A crash and a link window on the last shard's processors reach that
+    /// shard renumbered to its own machine, at every shard count.
+    #[test]
+    fn last_shard_faults_survive_shard_renumbering() {
+        for switching in SWITCHINGS {
+            let mut config = eight_partition_config(switching);
+            config.machine.faults = FaultPlan {
+                crashes: vec![NodeCrash {
+                    node: 29,
+                    at: SimTime(592_000_000),
+                }],
+                links: vec![LinkWindow {
+                    from: 28,
+                    to: 29,
+                    down_at: SimTime(580_000_000),
+                    up_at: SimTime(620_000_000),
+                }],
+                ..FaultPlan::default()
+            };
+            let seq = assert_bit_identical(&config, &chatty_batch(16), &[2, 3, 4, 8]);
+            assert_eq!(seq.counters.node_crashes, 1, "{switching:?}");
+            assert!(seq.counters.link_downs > 0, "{switching:?}");
+            assert!(seq.counters.jobs_requeued > 0, "{switching:?}: the crash must kill work");
+        }
     }
 
     #[test]

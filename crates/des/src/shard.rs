@@ -209,18 +209,24 @@ impl<M: ShardModel> Model for WindowShim<'_, M> {
 }
 
 /// Wall-clock breakdown of one shard thread's run, for diagnosing where a
-/// sharded run spends its time: simulating (`work_ns`), blocked on the
-/// window barriers (`barrier_ns`), or routing/merging cross-shard mail
-/// (`merge_ns`). Wall-clock only — it never feeds a simulated result or a
-/// fingerprint.
+/// sharded run spends its time: building and tearing down its model
+/// (`build_ns`), simulating (`work_ns`), blocked on the window barriers
+/// (`barrier_ns`), or routing/merging cross-shard mail (`merge_ns`), plus
+/// the size of the machine the shard simulated (`nodes`). Wall-clock and
+/// shape only — it never feeds a simulated result or a fingerprint.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardTiming {
-    /// Time spent inside `Engine::run_until` (event processing).
+    /// Time spent in the engine's run loop (event processing).
     pub work_ns: u64,
     /// Time spent waiting at the three window barriers.
     pub barrier_ns: u64,
     /// Time spent routing the outbox and sorting/seeding inbound mail.
     pub merge_ns: u64,
+    /// Time spent building the shard's model and engine on its own thread,
+    /// and dropping them there at the end (0 when the caller built them).
+    pub build_ns: u64,
+    /// Processors in the shard's model (0 when the caller built it).
+    pub nodes: usize,
 }
 
 /// `K` independent engines plus the window/barrier/mailbox machinery.

@@ -21,6 +21,7 @@
 //!   bit-identical to a build without this module.
 
 use parsched_des::{SimDuration, SimTime};
+use std::ops::Range;
 
 /// A fail-stop node crash at a declared instant.
 ///
@@ -126,7 +127,9 @@ impl FaultPlan {
             && self.retry.msg_timeout.is_none()
     }
 
-    /// The slice of this plan a shard owning the given nodes should seed.
+    /// The slice of this plan a shard owning processors `nodes` should
+    /// seed, renumbered to the shard's machine, whose processor 0 is
+    /// `nodes.start`.
     ///
     /// Declared events are kept only where the shard can observe them:
     /// crashes on owned nodes, link windows with **both** endpoints owned.
@@ -135,16 +138,23 @@ impl FaultPlan {
     /// channels, so such a window names a non-adjacent pair the machine
     /// would ignore anyway. The scalar knobs (drop probability/seed,
     /// mailbox capacity, retry policy) apply machine-wide and are copied
-    /// verbatim: the per-channel drop streams make the slice draw exactly
-    /// the sequential numbers on the channels it owns.
-    pub fn slice_for_nodes(&self, owns: impl Fn(u32) -> bool) -> FaultPlan {
+    /// verbatim: the per-channel drop streams, keyed by the machine-wide
+    /// channel index, make the slice draw exactly the sequential numbers
+    /// on the channels it owns.
+    pub fn slice_for_range(&self, nodes: Range<u32>) -> FaultPlan {
+        let local = |n: u32| n - nodes.start;
         FaultPlan {
-            crashes: self.crashes.iter().copied().filter(|c| owns(c.node)).collect(),
+            crashes: self
+                .crashes
+                .iter()
+                .filter(|c| nodes.contains(&c.node))
+                .map(|c| NodeCrash { node: local(c.node), ..*c })
+                .collect(),
             links: self
                 .links
                 .iter()
-                .copied()
-                .filter(|w| owns(w.from) && owns(w.to))
+                .filter(|w| nodes.contains(&w.from) && nodes.contains(&w.to))
+                .map(|w| LinkWindow { from: local(w.from), to: local(w.to), ..*w })
                 .collect(),
             ..self.clone()
         }
@@ -201,7 +211,7 @@ mod tests {
             mailbox_capacity: Some(3),
             retry: RetryPolicy::default(),
         };
-        let lo = plan.slice_for_nodes(|n| n < 4);
+        let lo = plan.slice_for_range(0..4);
         assert_eq!(lo.crashes, vec![NodeCrash { node: 1, at: SimTime(10) }]);
         assert_eq!(
             lo.links,
@@ -210,9 +220,15 @@ mod tests {
         assert_eq!(lo.drop_prob, 0.25);
         assert_eq!(lo.drop_seed, 7);
         assert_eq!(lo.mailbox_capacity, Some(3));
-        let hi = plan.slice_for_nodes(|n| n >= 4);
-        assert_eq!(hi.crashes, vec![NodeCrash { node: 5, at: SimTime(20) }]);
-        assert_eq!(hi.links.len(), 1); // only the 4–5 window is fully owned
+        // The upper slice is renumbered: processor 4 becomes its 0.
+        let hi = plan.slice_for_range(4..8);
+        assert_eq!(hi.crashes, vec![NodeCrash { node: 1, at: SimTime(20) }]);
+        assert_eq!(
+            hi.links,
+            vec![LinkWindow { from: 0, to: 1, down_at: SimTime(1), up_at: SimTime(2) }],
+            "only the 4–5 window is fully owned"
+        );
+        assert_eq!(hi.drop_seed, 7);
     }
 
     #[test]

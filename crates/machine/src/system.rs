@@ -375,8 +375,10 @@ pub struct Machine {
     /// Deterministic per-hop drop lottery: one independent substream per
     /// channel (`drop_seed` → `substream_idx("drop", chan)`), so the draw
     /// sequence a channel sees depends only on its own completed hops —
-    /// never on traffic elsewhere. That makes the lottery identical whether
-    /// the machine simulates the whole system or one shard of it. Built
+    /// never on traffic elsewhere. Substreams are numbered by the
+    /// machine-wide channel index ([`SystemNet::channel_base`] plus the
+    /// local one), which makes the lottery identical whether the machine
+    /// simulates the whole system or one shard's partitions. Built
     /// (and drawn) only while `cfg.faults.drop_prob > 0`; an empty plan
     /// allocates nothing and performs zero draws.
     drop_rngs: Vec<DetRng>,
@@ -433,9 +435,12 @@ impl Machine {
         };
         let faults_on = !cfg.faults.is_empty();
         let drop_rngs = if cfg.faults.drop_prob > 0.0 {
+            // Keyed by the machine-wide channel index, so a sub-network
+            // draws exactly the whole machine's numbers on its channels.
             let root = DetRng::new(cfg.faults.drop_seed);
+            let base = net.channel_base();
             (0..net.channels().len())
-                .map(|c| root.substream_idx("drop", c as u64))
+                .map(|c| root.substream_idx("drop", (base + c) as u64))
                 .collect()
         } else {
             Vec::new()
@@ -774,8 +779,8 @@ impl Machine {
     /// windows) with the engine. Call once before the run, alongside
     /// arrival seeding. An empty plan seeds nothing, so fault-free runs
     /// allocate identical event sequence numbers and stay bit-identical.
-    /// Crashes on out-of-range nodes and windows on non-adjacent node
-    /// pairs are ignored.
+    /// Crashes on out-of-range nodes and windows on out-of-range or
+    /// non-adjacent node pairs are ignored.
     pub fn seed_faults(&mut self, seeder: &mut impl parsched_des::EventSeeder<Event>) {
         let plan = self.cfg.faults.clone();
         // Canonical same-instant order: crashes fire in (time, node) order
@@ -789,8 +794,9 @@ impl Machine {
                 seeder.seed(c.at, Event::NodeCrash { node: c.node });
             }
         }
+        let nodes = self.nodes.len();
         for w in &plan.links {
-            if w.up_at <= w.down_at {
+            if w.up_at <= w.down_at || w.from as usize >= nodes || w.to as usize >= nodes {
                 continue;
             }
             for (a, b) in [(w.from, w.to), (w.to, w.from)] {
@@ -3287,6 +3293,29 @@ mod tests {
             up_at
         );
         assert_eq!(m.counters.messages_consumed, 1);
+    }
+
+    #[test]
+    fn out_of_range_faults_are_ignored() {
+        let mut faults = FaultPlan::default();
+        let late = SimTime::ZERO + SimDuration::from_millis(1);
+        faults.crashes.push(NodeCrash { node: 1_000, at: late });
+        faults.links.push(LinkWindow {
+            from: 1_000,
+            to: 1_001,
+            down_at: late,
+            up_at: late + SimDuration::from_millis(1),
+        });
+        let mut m = faulty_machine(faults);
+        let spec = pair_spec(
+            vec![Op::Send { to: Rank(1), bytes: 500, tag: Tag(1) }],
+            vec![Op::Recv { tag: Tag(1) }],
+        );
+        let id = m.queue_job(spec, vec![0, 1], SimDuration::from_millis(2));
+        run_faulty(&mut m, id);
+        assert_eq!(m.job(id).state, JobState::Done);
+        assert_eq!(m.counters.node_crashes, 0);
+        assert_eq!(m.counters.link_downs, 0);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! one, so a route either stays inside a partition or does not exist.
 
 use parsched_topology::{Channel, NodeId, PartitionPlan, Router, Topology, TopologyKind};
+use std::ops::Range;
 
 /// A directed global channel between adjacent processors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,22 +44,48 @@ pub struct SystemNet {
     /// `channels[offsets[f]..offsets[f + 1]]`. A flat `from * nodes + to`
     /// table is O(n^2) memory — 17 GB at 64k nodes — where this is O(n + E).
     offsets: Vec<u32>,
+    /// Index of `channels[0]` in the whole machine's channel table: 0
+    /// unless this net wires a partition range after the first
+    /// ([`SystemNet::for_partitions`]).
+    channel_base: usize,
 }
 
 impl SystemNet {
     /// Wire the machine according to a partition plan.
     pub fn from_plan(plan: &PartitionPlan) -> SystemNet {
-        let nodes = plan.system_size;
+        SystemNet::for_partitions(plan, 0..plan.count())
+    }
+
+    /// Wire only the partitions `range` of `plan`, as a machine of their
+    /// own: processor ids run from 0 at the first partition's base (see
+    /// [`PartitionPlan::sub_plan`], which renumbers the plan the same way)
+    /// and channels are the whole machine's channels of those partitions,
+    /// in the same order. Because no channel crosses a partition boundary,
+    /// the sub-network routes exactly as the whole one does on those
+    /// processors. [`SystemNet::channel_base`] keeps the global index of
+    /// the first channel, for state keyed by the machine-wide channel.
+    ///
+    /// # Panics
+    /// Panics when the range runs past the plan.
+    pub fn for_partitions(plan: &PartitionPlan, range: Range<usize>) -> SystemNet {
+        let covered = plan.node_range(range.clone());
+        let (origin, nodes) = (covered.start, covered.len());
+        let channel_base = plan.partitions[..range.start]
+            .iter()
+            .map(|p| 2 * p.topology.edge_count())
+            .sum();
+        let parts = &plan.partitions[range];
         let mut channels = Vec::new();
-        let mut routers = Vec::with_capacity(plan.count());
-        let mut kinds = Vec::with_capacity(plan.count());
-        for part in &plan.partitions {
+        let mut routers = Vec::with_capacity(parts.len());
+        let mut kinds = Vec::with_capacity(parts.len());
+        for part in parts {
             routers.push(Router::for_topology(&part.topology));
             kinds.push(part.topology.kind());
+            let base = part.base - origin;
             for Channel { from, to } in part.topology.channels() {
                 channels.push(GlobalChannel {
-                    from: global_id(part.base + from.idx()),
-                    to: global_id(part.base + to.idx()),
+                    from: global_id(base + from.idx()),
+                    to: global_id(base + to.idx()),
                 });
             }
         }
@@ -82,6 +109,7 @@ impl SystemNet {
             kinds,
             channels,
             offsets,
+            channel_base,
         }
     }
 
@@ -108,6 +136,14 @@ impl SystemNet {
     /// All directed channels.
     pub fn channels(&self) -> &[GlobalChannel] {
         &self.channels
+    }
+
+    /// Index of this net's first channel in the whole machine's channel
+    /// table (0 for a whole-machine net). A sub-network built by
+    /// [`SystemNet::for_partitions`] numbers its channels from 0; adding
+    /// this base gives the number the whole machine uses.
+    pub fn channel_base(&self) -> usize {
+        self.channel_base
     }
 
     /// Index of the channel `from -> to`, if the processors are adjacent.
@@ -279,6 +315,81 @@ mod tests {
                     .iter()
                     .position(|c| c.from == from && c.to == to);
                 assert_eq!(net.channel_id(from, to), expected, "{from}->{to}");
+            }
+        }
+    }
+
+    /// One partition size per builder family the machine ships, each
+    /// realizable by `build::by_kind`.
+    fn every_builder() -> Vec<(TopologyKind, usize)> {
+        use parsched_topology::build::{dragonfly_size, fat_tree_size};
+        vec![
+            (TopologyKind::Mesh { rows: 0, cols: 0 }, 6),
+            (TopologyKind::Torus { rows: 0, cols: 0 }, 9),
+            (TopologyKind::Hypercube { dim: 0 }, 8),
+            (TopologyKind::Ring, 5),
+            (TopologyKind::FatTree { k: 0 }, fat_tree_size(4)),
+            (TopologyKind::Dragonfly { a: 0, p: 0, h: 0 }, dragonfly_size(2, 1, 1)),
+        ]
+    }
+
+    /// Partitions are wired closed: whatever the builder and however many
+    /// partitions, every channel joins two processors of one partition.
+    /// Sharded runs rely on it — a shard owns whole partitions, so no
+    /// shard can ever reach another's processors.
+    #[test]
+    fn no_channel_crosses_a_partition_boundary() {
+        for (kind, size) in every_builder() {
+            for parts in [1, 2, 3, 5, 8] {
+                let plan = PartitionPlan::equal(parts * size, size, kind).unwrap();
+                let net = SystemNet::from_plan(&plan);
+                assert!(!net.channels().is_empty(), "{kind} x{parts}");
+                for c in net.channels() {
+                    assert_eq!(
+                        net.partition_of(c.from),
+                        net.partition_of(c.to),
+                        "{kind} x{parts}: channel {} crosses partitions",
+                        c.label()
+                    );
+                }
+            }
+        }
+    }
+
+    /// A partition-range sub-network is the whole machine's network on
+    /// those processors, renumbered: the same channels in the same order
+    /// from `channel_base`, the same routes.
+    #[test]
+    fn partition_range_wiring_is_the_whole_machine_renumbered() {
+        for (kind, size) in every_builder() {
+            let plan = PartitionPlan::equal(5 * size, size, kind).unwrap();
+            let whole = SystemNet::from_plan(&plan);
+            assert_eq!(whole.channel_base(), 0);
+            for range in [0..1, 0..5, 1..3, 2..5, 4..5] {
+                let sub = SystemNet::for_partitions(&plan, range.clone());
+                let origin = (range.start * size) as u32;
+                assert_eq!(sub.nodes(), range.len() * size, "{kind} {range:?}");
+                assert_eq!(sub.partitions(), range.len());
+                let span = origin..origin + sub.nodes() as u32;
+                let expected: Vec<(u32, u32)> = whole
+                    .channels()
+                    .iter()
+                    .filter(|g| span.contains(&g.from))
+                    .map(|g| (g.from - origin, g.to - origin))
+                    .collect();
+                let got: Vec<(u32, u32)> = sub.channels().iter().map(|c| (c.from, c.to)).collect();
+                assert_eq!(got, expected, "{kind} {range:?}");
+                assert_eq!(
+                    whole.channels().iter().position(|g| span.contains(&g.from)),
+                    Some(sub.channel_base()),
+                    "{kind} {range:?}: channel base"
+                );
+                for a in 0..sub.nodes() as u32 {
+                    for b in (0..sub.nodes() as u32).step_by(3) {
+                        let local = sub.route(a, b).map(|p| p.iter().map(|n| n + origin).collect());
+                        assert_eq!(local, whole.route(a + origin, b + origin), "{kind} {a}->{b}");
+                    }
+                }
             }
         }
     }

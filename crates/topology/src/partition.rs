@@ -178,6 +178,44 @@ impl PartitionPlan {
         self.partitions.len()
     }
 
+    /// The global processors covered by partitions `range`: from the first
+    /// one's base up to the next partition's base (the machine's end after
+    /// the last partition).
+    ///
+    /// # Panics
+    /// Panics when the range runs past the plan.
+    pub fn node_range(&self, range: std::ops::Range<usize>) -> std::ops::Range<usize> {
+        assert!(range.end <= self.count(), "partition range runs past the plan");
+        let base = |p: usize| self.partitions.get(p).map_or(self.system_size, |q| q.base);
+        base(range.start)..base(range.end)
+    }
+
+    /// Partitions `range` as a machine of their own: processors and
+    /// partition ids renumbered from 0, so local processor `i` is global
+    /// processor `partitions[range.start].base + i`. A sharded run gives
+    /// each shard the sub-plan of the partitions it owns.
+    ///
+    /// # Panics
+    /// Panics when the range is empty or runs past the plan.
+    pub fn sub_plan(&self, range: std::ops::Range<usize>) -> PartitionPlan {
+        assert!(!range.is_empty(), "a sub-plan needs at least one partition");
+        let nodes = self.node_range(range.clone());
+        let partitions: Vec<Partition> = self.partitions[range]
+            .iter()
+            .enumerate()
+            .map(|(id, p)| Partition {
+                id,
+                base: p.base - nodes.start,
+                topology: p.topology.clone(),
+            })
+            .collect();
+        PartitionPlan {
+            system_size: nodes.len(),
+            partition_size: self.partition_size,
+            partitions,
+        }
+    }
+
     /// The partition owning a global processor index.
     pub fn partition_of(&self, global: usize) -> &Partition {
         assert!(global < self.system_size, "processor index out of range");
@@ -285,6 +323,24 @@ mod tests {
         assert!(err.to_string().contains("power-of-two"), "{err}");
 
         assert!(PartitionPlan::try_equal(16, 4, TopologyKind::Ring).is_ok());
+    }
+
+    #[test]
+    fn sub_plan_renumbers_from_zero() {
+        let plan = PartitionPlan::equal(16, 4, TopologyKind::Ring).unwrap();
+        let sub = plan.sub_plan(2..4);
+        assert_eq!(sub.system_size, 8);
+        assert_eq!(sub.partition_size, 4);
+        assert_eq!(sub.count(), 2);
+        for (i, p) in sub.partitions.iter().enumerate() {
+            assert_eq!(p.id, i);
+            assert_eq!(p.base, 4 * i);
+            assert_eq!(p.topology.kind(), TopologyKind::Ring);
+        }
+        assert_eq!(sub.partition_of(5).id, 1);
+        assert_eq!(plan.node_range(2..4), 8..16);
+        assert_eq!(plan.node_range(0..1), 0..4);
+        assert_eq!(plan.node_range(0..plan.count()), 0..16);
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! machine wires each partition as its own closed interconnect (the C004
 //! crossbar links partitions only through the host), so a partition never
 //! exchanges network traffic with another: shards built from whole
-//! partitions are *independent*, the best possible lookahead. A
-//! [`ShardPlan`] records the partition → shard assignment; the lookahead
-//! classification itself lives with the wiring layer, which knows the
-//! channel list.
+//! partitions are *independent*, the best possible lookahead, and each
+//! shard can simulate a machine of just its own partitions. A
+//! [`ShardPlan`] records the partition → shard assignment.
 //!
 //! Shards are contiguous runs of partitions with near-equal partition
 //! counts, so the assignment is a pure function of `(partitions, shards)` —
@@ -63,21 +62,15 @@ impl ShardPlan {
 
     /// The partitions owned by shard `s`, in ascending order.
     pub fn partitions_of(&self, s: usize) -> Vec<usize> {
-        (0..self.of_partition.len())
-            .filter(|&p| self.of_partition[p] == s)
-            .collect()
+        self.range_of(s).collect()
     }
 
-    /// Whether shard `s` owns the node at `node`, under an equal-split plan
-    /// where partition `p` covers nodes `[p*partition_size, (p+1)*partition_size)`.
-    ///
-    /// This is the ownership test the fault-plan slicer uses: a declared
-    /// fault is shipped with exactly the shard that owns the node(s) it
-    /// names. Nodes past the last partition belong to no shard.
-    pub fn owns_node(&self, s: usize, node: u32, partition_size: usize) -> bool {
-        assert!(partition_size > 0, "partition size must be nonzero");
-        let p = node as usize / partition_size;
-        p < self.of_partition.len() && self.of_partition[p] == s
+    /// The contiguous partition range owned by shard `s` (empty past the
+    /// last shard).
+    pub fn range_of(&self, s: usize) -> std::ops::Range<usize> {
+        let start = self.of_partition.partition_point(|&o| o < s);
+        let end = self.of_partition.partition_point(|&o| o <= s);
+        start..end
     }
 }
 
@@ -92,6 +85,7 @@ mod tests {
         assert_eq!(plan.of_partition, vec![0, 0, 1, 1, 2, 2, 3, 3]);
         for s in 0..4 {
             assert_eq!(plan.partitions_of(s).len(), 2);
+            assert_eq!(plan.range_of(s), 2 * s..2 * s + 2);
         }
     }
 
@@ -116,20 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn node_ownership_follows_partition_boundaries() {
-        // 4 partitions of 4 nodes on 2 shards: shard 0 owns nodes 0..8.
-        let plan = ShardPlan::contiguous(4, 2);
-        assert!(plan.owns_node(0, 0, 4));
-        assert!(plan.owns_node(0, 7, 4));
-        assert!(!plan.owns_node(0, 8, 4));
-        assert!(plan.owns_node(1, 8, 4));
-        assert!(plan.owns_node(1, 15, 4));
-        // A node past the covered range belongs to no shard.
-        assert!(!plan.owns_node(0, 16, 4));
-        assert!(!plan.owns_node(1, 16, 4));
-    }
-
-    #[test]
     fn assignment_is_contiguous_and_monotone() {
         for parts in 1..20 {
             for k in 1..10 {
@@ -141,6 +121,9 @@ mod tests {
                     prev = s;
                 }
                 assert_eq!(prev + 1, plan.shards);
+                for s in 0..plan.shards {
+                    assert_eq!(plan.range_of(s).collect::<Vec<_>>(), plan.partitions_of(s));
+                }
             }
         }
     }
