@@ -35,6 +35,7 @@ fn f3_scenario(class: PolicyClass, mpl: Option<usize>) -> Scenario {
         arrivals: Vec::new(),
         faults: FaultPlan::default(),
         shards: 1,
+        relay: None,
     }
 }
 

@@ -68,6 +68,7 @@ pub mod prelude {
     pub use crate::system::{Counters, Event, JobState, Machine, Note};
     pub use crate::timeline::{Span, SpanKind, Timeline};
     pub use crate::wiring::SystemNet;
+    pub use crate::wormhole::{ExpressStats, FlitReason};
 }
 
 pub use prelude::*;

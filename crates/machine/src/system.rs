@@ -9,6 +9,8 @@
 //! * per-node memory with a FIFO-queued MMU;
 //! * store-and-forward (or cut-through) message passing over serialized
 //!   links, with per-hop buffer reservation and handler CPU costs;
+//! * wormhole switching with virtual channels and credits, flit by flit
+//!   or, across a quiescent partition, in closed form (the express path);
 //! * mailbox matching and blocking receives.
 
 use crate::config::{FlowControl, MachineConfig, SendMode, Switching};
@@ -20,7 +22,9 @@ use crate::timeline::{Span, SpanKind, Timeline};
 use crate::program::{JobSpec, Op, Rank, Tag};
 use crate::instrument::MachineMetrics;
 use crate::wiring::SystemNet;
-use crate::wormhole::{Worm, WormLink, WormholeState};
+use crate::wormhole::{
+    progress, replay_busy, Express, ExpressStep, FlitReason, Worm, WormLink, WormholeState,
+};
 use parsched_des::rng::DetRng;
 use parsched_des::{EventScheduler, Model, SimDuration, SimTime, TimerHandle};
 use parsched_obs::{ObsEvent, QuantumEndReason, Recorder};
@@ -563,10 +567,11 @@ impl Machine {
     fn maybe_reclaim(&mut self, msg: MsgId) {
         let reclaim = self.messages[msg.idx()]
             .as_ref()
-            .is_some_and(|m| m.cancelled && m.live_refs == 0);
-        if reclaim {
+            .filter(|m| m.cancelled && m.live_refs == 0)
+            .map(|m| m.src_node);
+        if let Some(src) = reclaim {
             self.messages[msg.idx()] = None;
-            self.free_msg(msg);
+            self.free_msg(msg, src);
         }
     }
 
@@ -708,6 +713,9 @@ impl Machine {
             );
         }
         let id = JobId(self.jobs.len() as u32);
+        if let Some(wh) = self.wormhole.as_mut() {
+            wh.jobs[part].push(id);
+        }
         let width = spec.width();
         // Sum the per-node memory demand once.
         let mut per_node: Vec<(u32, u64)> = Vec::new();
@@ -818,6 +826,10 @@ impl Machine {
     // ------------------------------------------------------------------
 
     fn on_admit(&mut self, job: JobId, now: SimTime, sched: &mut impl EventScheduler<Event>) {
+        // The new job's processes may contend for an express worm's route:
+        // hand the worm back to the flit path first.
+        let part = self.net.partition_of(self.jobs[job.idx()].placement[0]);
+        self.materialize_partition(part, now, sched);
         self.obs(now, ObsEvent::JobArrived { job: job.0 });
         let ship = self.jobs[job.idx()].ship_bytes;
         let j = &mut self.jobs[job.idx()];
@@ -1470,6 +1482,9 @@ impl Machine {
     /// Place a message in the slab, reusing a retired slot when one is
     /// free. Returns the id (also written into the message).
     fn alloc_msg(&mut self, mut m: Message) -> MsgId {
+        if let Some(wh) = self.wormhole.as_mut() {
+            wh.live_msgs[self.net.partition_of(m.src_node)] += 1;
+        }
         match self.free_msgs.pop() {
             Some(i) => {
                 let id = MsgId(i);
@@ -1490,8 +1505,12 @@ impl Machine {
         }
     }
 
-    /// Retire a message's slot for reuse and invalidate outstanding timers.
-    fn free_msg(&mut self, id: MsgId) {
+    /// Retire the slot of a message injected at `src` for reuse and
+    /// invalidate outstanding timers.
+    fn free_msg(&mut self, id: MsgId, src: u32) {
+        if let Some(wh) = self.wormhole.as_mut() {
+            wh.live_msgs[self.net.partition_of(src)] -= 1;
+        }
         self.msg_gen[id.idx()] = self.msg_gen[id.idx()].wrapping_add(1);
         self.escape_timers[id.idx()] = None;
         self.fault_timers[id.idx()] = None;
@@ -1967,12 +1986,41 @@ impl Machine {
     // flow control. Deadlock freedom rests on the escape-class assignment
     // from `parsched_topology::flow` (dateline / phase rules), whose
     // channel-dependency graph is acyclic for every shipped topology.
+    //
+    // Express path. A worm whose partition is quiescent (`express_check`:
+    // no observer, two or more credits, it is the partition's only live
+    // message, every other resident process is finished, blocked in a
+    // receive or done sending, no job is queued, loading or ready there,
+    // and no declared fault or delivery timeout falls inside its flight)
+    // cannot meet another worm, so its pipeline has a closed form: flit k
+    // crosses route link i at t0 + (i + k) * ft. It starts no tick chain.
+    // Its two visible moments, the source release at t0 + F * ft and the
+    // delivery at t0 + (L - 1 + F) * ft, run as cancellable `FlitTick`
+    // timers on a route channel, each armed one flit time ahead by a
+    // pre-step so it is scheduled from the same instant as the flit tick
+    // it replaces. At delivery the worm applies in hop order everything
+    // the flit ticks would have done (`apply_express_progress`). A job
+    // admitted onto the partition mid-flight first materializes the worm
+    // into the flit-level state its ticks would have reached
+    // (`materialize_partition`); the flit path takes over from there. The
+    // flit path is the reference (`set_flit_reference`), and the
+    // differential oracle holds the two to identical results.
     // ------------------------------------------------------------------
 
     /// Wormhole state (tests and exporters; `None` unless
     /// `cfg.switching == Switching::Wormhole`).
     pub fn wormhole(&self) -> Option<&WormholeState> {
         self.wormhole.as_ref()
+    }
+
+    /// Run every worm flit by flit: the reference the express path is
+    /// held to. For differential tests only; results are identical either
+    /// way, only the host work differs. No-op off wormhole switching.
+    #[doc(hidden)]
+    pub fn set_flit_reference(&mut self, on: bool) {
+        if let Some(wh) = self.wormhole.as_mut() {
+            wh.flit_reference = on;
+        }
     }
 
     /// Sample the machine-wide count of held VCs into the metrics registry.
@@ -2035,11 +2083,311 @@ impl Machine {
         let total_flits = self.cfg.worm_flits(bytes);
         self.counters.flits_injected += total_flits;
         self.ref_msg(msg); // the worm holds a reference until teardown/drain
-        self.wormhole
-            .as_mut()
-            .expect("wormhole state")
-            .insert(msg, Worm { total_flits, links });
-        self.request_vc(msg, 0, now, sched);
+        // A second worm in the partition may claim an express worm's
+        // route: that worm goes back to the flit path first.
+        self.materialize_partition(p, now, sched);
+        let verdict = self.express_check(p, &links, total_flits, now);
+        let wh = self.wormhole.as_mut().expect("wormhole state");
+        match verdict {
+            Ok(()) => {
+                // Arm the release directly when it is the first flit
+                // tick (a one-flit worm), else one flit time ahead.
+                let chan = links[0].chan;
+                let ft = wh.flit_time;
+                let (step, at) = if total_flits > 1 {
+                    (ExpressStep::ArmRelease, now + ft * (total_flits - 1))
+                } else {
+                    (ExpressStep::Release, now + ft)
+                };
+                let timer = sched.schedule_timer_at(at, Event::FlitTick { chan });
+                wh.chans[chan as usize].express = Some(msg);
+                wh.express_in[p] = Some(msg);
+                wh.stats.express += 1;
+                let express = Some(Express { t0: now, step, timer });
+                wh.insert(msg, Worm { total_flits, links, express });
+            }
+            Err(reason) => {
+                wh.stats.flit[reason as usize] += 1;
+                wh.insert(msg, Worm { total_flits, links, express: None });
+                self.request_vc(msg, 0, now, sched);
+            }
+        }
+    }
+
+    /// Whether a worm of `flits` flits over `links` in partition `p`,
+    /// starting now, may take the express path. The partition must be
+    /// quiescent: partitions are wired closed, so once nothing else in
+    /// `p` can inject, queue a job, or fail before the tail clears, no
+    /// other worm can contend for the route and the flit pipeline runs in
+    /// closed form. Nothing may observe the flit ticks either.
+    fn express_check(&mut self, p: usize, links: &[WormLink], flits: u64, now: SimTime) -> Result<(), FlitReason> {
+        let wh = self.wormhole.as_ref().expect("wormhole state");
+        if wh.flit_reference {
+            return Err(FlitReason::Reference);
+        }
+        if self.recorder.is_some() || self.metrics.is_some() || self.timeline.is_enabled() {
+            return Err(FlitReason::Observed);
+        }
+        let ft = wh.flit_time;
+        if wh.credits < 2 || ft.is_zero() {
+            return Err(FlitReason::Config);
+        }
+        if wh.live_msgs[p] != 1 {
+            return Err(FlitReason::Contended);
+        }
+        let route_busy = links.iter().any(|l| {
+            let c = l.chan as usize;
+            let vch = &wh.chans[c];
+            !self.channels[c].up
+                || vch.ticking
+                || vch.occupied() > 0
+                || vch.waiting.iter().any(|q| !q.is_empty())
+        });
+        if route_busy {
+            return Err(FlitReason::Route);
+        }
+        let end = now + ft * (links.len() as u64 - 1 + flits);
+        if self.faults_on && self.fault_within(p, now, end) {
+            return Err(FlitReason::Fault);
+        }
+        let mut jobs = std::mem::take(&mut self.wormhole.as_mut().expect("wormhole state").jobs[p]);
+        jobs.retain(|j| !matches!(self.jobs[j.idx()].state, JobState::Done | JobState::Failed));
+        let verdict = jobs.iter().try_for_each(|&j| {
+            let job = &self.jobs[j.idx()];
+            if job.state != JobState::Running {
+                return Err(FlitReason::JobPending);
+            }
+            // A process blocked in a receive can only wake on a delivery,
+            // and this worm is the partition's only live message.
+            let may_send = job.proc_keys.iter().any(|pk| {
+                let pr = &self.procs[pk.idx()];
+                !matches!(pr.state, PState::Finished | PState::BlockedRecv(_))
+                    && (pr.phase == Phase::SendOverhead
+                        || pr.program.get(pr.pc + 1..).is_some_and(|ops| {
+                            ops.iter().any(|op| matches!(op, Op::Send { .. }))
+                        }))
+            });
+            if may_send {
+                Err(FlitReason::Sender)
+            } else {
+                Ok(())
+            }
+        });
+        self.wormhole.as_mut().expect("wormhole state").jobs[p] = jobs;
+        verdict
+    }
+
+    /// Whether a declared crash on partition `p`, an outage edge on one
+    /// of its links, or the delivery timeout falls in `[from, to]`.
+    fn fault_within(&self, p: usize, from: SimTime, to: SimTime) -> bool {
+        let size = self.net.partition_size() as u32;
+        let nodes = p as u32 * size..(p as u32 + 1) * size;
+        let window = from..=to;
+        let plan = &self.cfg.faults;
+        plan.crashes
+            .iter()
+            .any(|c| nodes.contains(&c.node) && window.contains(&c.at))
+            || plan.links.iter().any(|w| {
+                (nodes.contains(&w.from) || nodes.contains(&w.to))
+                    && (window.contains(&w.down_at) || window.contains(&w.up_at))
+            })
+            || plan.retry.msg_timeout.is_some_and(|t| from + t <= to)
+    }
+
+    /// Route index of the link whose channel carries an express worm's
+    /// pending timer: link 0 up to the release, the last link after it.
+    fn express_link(step: ExpressStep, len: usize) -> usize {
+        match step {
+            ExpressStep::ArmRelease | ExpressStep::Release => 0,
+            ExpressStep::ArmFinish | ExpressStep::Finish => len - 1,
+        }
+    }
+
+    /// Schedule an express worm's next step as a `FlitTick` on the route
+    /// channel that carries it.
+    fn arm_express(&mut self, msg: MsgId, step: ExpressStep, at: SimTime, sched: &mut impl EventScheduler<Event>) {
+        let wh = self.wormhole.as_mut().expect("wormhole state");
+        let w = wh.worm_mut(msg).expect("worm gone");
+        let len = w.links.len();
+        let old = w.links[Self::express_link(w.express.expect("express worm").step, len)].chan;
+        let chan = w.links[Self::express_link(step, len)].chan;
+        let timer = sched.schedule_timer_at(at, Event::FlitTick { chan });
+        let x = w.express.as_mut().expect("express worm");
+        x.step = step;
+        x.timer = timer;
+        wh.chans[old as usize].express = None;
+        wh.chans[chan as usize].express = Some(msg);
+    }
+
+    /// An express worm's timer fired: perform its step and arm the next.
+    fn on_express_tick(&mut self, msg: MsgId, now: SimTime, sched: &mut impl EventScheduler<Event>) {
+        let (x, len, flits, ft) = {
+            let wh = self.wormhole.as_ref().expect("wormhole state");
+            let w = wh.worm(msg).expect("worm gone");
+            (w.express.expect("express worm"), w.links.len(), w.total_flits, wh.flit_time)
+        };
+        match x.step {
+            ExpressStep::ArmRelease => self.arm_express(msg, ExpressStep::Release, now + ft, sched),
+            ExpressStep::Release => {
+                self.release_source(msg, now, sched);
+                match len {
+                    1 => self.finish_express(msg, now, sched),
+                    2 => self.arm_express(msg, ExpressStep::Finish, now + ft, sched),
+                    _ => {
+                        let at = x.t0 + ft * (len as u64 + flits - 2);
+                        self.arm_express(msg, ExpressStep::ArmFinish, at, sched);
+                    }
+                }
+            }
+            ExpressStep::ArmFinish => self.arm_express(msg, ExpressStep::Finish, now + ft, sched),
+            ExpressStep::Finish => self.finish_express(msg, now, sched),
+        }
+    }
+
+    /// The worm's tail left the source: the sender's buffered copy is gone.
+    fn release_source(&mut self, msg: MsgId, now: SimTime, sched: &mut impl EventScheduler<Event>) {
+        let (released, bytes) = {
+            let m = self.messages[msg.idx()].as_mut().expect("dead message");
+            (m.buffered_on.take(), m.bytes)
+        };
+        if let Some(node) = released {
+            self.release_memory(node, bytes + self.cfg.msg_header_bytes, now, sched);
+        }
+    }
+
+    /// Take an express worm off its timers (and its partition's slot).
+    fn detach_express(&mut self, msg: MsgId) -> Express {
+        let p = {
+            let m = self.messages[msg.idx()].as_ref().expect("dead message");
+            self.net.partition_of(m.src_node)
+        };
+        let wh = self.wormhole.as_mut().expect("wormhole state");
+        let w = wh.worm_mut(msg).expect("worm gone");
+        let x = w.express.take().expect("express worm");
+        let chan = w.links[Self::express_link(x.step, w.links.len())].chan;
+        wh.chans[chan as usize].express = None;
+        wh.express_in[p] = None;
+        x
+    }
+
+    /// The express worm's tail reached the destination: apply every flit
+    /// tick's effects and deliver, exactly as the last flit tick would.
+    fn finish_express(&mut self, msg: MsgId, now: SimTime, sched: &mut impl EventScheduler<Event>) {
+        let x = self.detach_express(msg);
+        let last = {
+            let w = self.wormhole.as_ref().expect("wormhole state").worm(msg).expect("worm gone");
+            w.links.len() as u64 - 1 + w.total_flits
+        };
+        self.apply_express_progress(msg, x.t0, last);
+        self.finish_worm(msg, now, sched);
+    }
+
+    /// Apply, in hop order, what the flit ticks of an express worm that
+    /// started at `t0` did through flit step `j`: link cursors, credits,
+    /// flits, VC grants, completed hops with their drop-lottery draws,
+    /// message cursors, round-robin cursors and the link busy gauges. The
+    /// source-buffer release and the VC tables are the caller's.
+    fn apply_express_progress(&mut self, msg: MsgId, t0: SimTime, j: u64) {
+        let wh = self.wormhole.as_mut().expect("wormhole state");
+        let ft = wh.flit_time;
+        let w = wh.worm_mut(msg).expect("worm gone");
+        let flits = w.total_flits;
+        let mut links = std::mem::take(&mut w.links);
+        let len = links.len();
+        let bytes = self.messages[msg.idx()].as_ref().expect("dead message").bytes;
+        let (mut started, mut done, mut corrupt) = (0, 0, false);
+        let (mut front, mut reached) = (None, None);
+        for (i, l) in links.iter_mut().enumerate() {
+            let (sent, granted, _) = progress(j, i, len, flits);
+            let ci = l.chan as usize;
+            l.sent = sent;
+            self.counters.credits_issued += sent;
+            if i > 0 {
+                self.counters.credits_returned += sent;
+            }
+            if i + 1 == len {
+                self.counters.credits_returned += sent;
+                self.counters.flits_ejected += sent;
+            }
+            if granted {
+                self.counters.vc_allocs += 1;
+            }
+            let to = self.channels[ci].to;
+            if sent > 0 {
+                let vch = &mut wh.chans[ci];
+                let vc = l.class as usize * vch.per_class as usize;
+                vch.rr = ((vc + 1) % vch.vcs.len()) as u8;
+                started += 1;
+                front = Some(to);
+            }
+            if sent == flits {
+                let ch = &mut self.channels[ci];
+                ch.transfers += 1;
+                ch.bytes_carried += bytes;
+                self.counters.hop_transfers += 1;
+                if self.cfg.faults.drop_prob > 0.0 {
+                    corrupt |= self.drop_rngs[ci].uniform01() < self.cfg.faults.drop_prob;
+                }
+                done += 1;
+                reached = Some(to);
+            }
+            replay_busy(&mut self.channels[ci].busy, t0, ft, i as u64, flits, j);
+        }
+        wh.worm_mut(msg).expect("worm gone").links = links;
+        let m = self.messages[msg.idx()].as_mut().expect("dead message");
+        m.edges_started += started;
+        m.edges_done += done;
+        if let Some(to) = front {
+            m.front_node = to;
+        }
+        if let Some(to) = reached {
+            m.done_node = to;
+        }
+        m.corrupt |= corrupt;
+    }
+
+    /// Hand partition `p`'s express worm, if any, back to the flit path:
+    /// rebuild the flit-level state its ticks would have reached by now —
+    /// link cursors, held VCs, ticking flags — and start the tick chains
+    /// in descending link order, the order the flit ticks of one instant
+    /// schedule the next instant's. A worm whose finish falls due at this
+    /// very instant is rebuilt one step short and finishes on a flit tick
+    /// now.
+    fn materialize_partition(&mut self, p: usize, now: SimTime, sched: &mut impl EventScheduler<Event>) {
+        let Some(msg) = self.wormhole.as_ref().and_then(|wh| wh.express_in[p]) else {
+            return;
+        };
+        let x = self.detach_express(msg);
+        sched.cancel_timer(x.timer);
+        let (len, flits, ft) = {
+            let wh = self.wormhole.as_mut().expect("wormhole state");
+            wh.stats.materialized += 1;
+            let w = wh.worm(msg).expect("worm gone");
+            (w.links.len(), w.total_flits, wh.flit_time)
+        };
+        let j = (now.since(x.t0).nanos() / ft.nanos()).min(len as u64 + flits - 2);
+        if !x.released() && j >= flits {
+            self.release_source(msg, now, sched);
+        }
+        self.apply_express_progress(msg, x.t0, j);
+        let wh = self.wormhole.as_mut().expect("wormhole state");
+        let w = wh.worms[msg.idx()].as_mut().expect("worm gone");
+        for (i, l) in w.links.iter_mut().enumerate() {
+            if progress(j, i, len, flits).2 {
+                l.vc = wh.chans[l.chan as usize].alloc_vc(l.class, msg);
+                debug_assert!(l.vc.is_some(), "express route VC taken");
+                wh.held += 1;
+            }
+        }
+        let next = x.t0 + ft * (j + 1);
+        for i in (0..len).rev() {
+            // Link `i` moves flit `j + 1 - i` at the next step.
+            if i as u64 <= j && j + 1 - i as u64 <= flits {
+                let chan = w.links[i].chan;
+                wh.chans[chan as usize].ticking = true;
+                sched.schedule_at(next, Event::FlitTick { chan });
+            }
+        }
     }
 
     /// Ask for a VC of the link's escape class: granted immediately when
@@ -2120,6 +2468,10 @@ impl Machine {
     /// flit remains movable.
     fn on_flit_tick(&mut self, chan: u32, now: SimTime, sched: &mut impl EventScheduler<Event>) {
         let ci = chan as usize;
+        if let Some(msg) = self.wormhole.as_ref().expect("wormhole state").chans[ci].express {
+            self.on_express_tick(msg, now, sched);
+            return;
+        }
         let picked = {
             let wh = self.wormhole.as_ref().expect("wormhole state");
             let vch = &wh.chans[ci];
@@ -2265,11 +2617,7 @@ impl Machine {
             (m.edges_done as usize, m.hops())
         };
         if link == 0 {
-            // The tail left the source: the sender's buffered copy is gone.
-            let released = self.messages[msg.idx()].as_mut().expect("dead").buffered_on.take();
-            if let Some(node) = released {
-                self.release_memory(node, bytes + self.cfg.msg_header_bytes, now, sched);
-            }
+            self.release_source(msg, now, sched);
         }
         if link > 0 {
             // The previous link's VC buffer has fully drained.
@@ -2352,8 +2700,12 @@ impl Machine {
     /// The caller decides what happens to the message itself (retry
     /// protocol for outages; the kill sweep for dead jobs).
     fn drain_worm(&mut self, msg: MsgId, now: SimTime, sched: &mut impl EventScheduler<Event>) -> bool {
-        if self.wormhole.as_ref().and_then(|wh| wh.worm(msg)).is_none() {
+        let Some(worm) = self.wormhole.as_ref().and_then(|wh| wh.worm(msg)) else {
             return false;
+        };
+        if worm.express.is_some() {
+            let src = self.messages[msg.idx()].as_ref().expect("dead message").src_node;
+            self.materialize_partition(self.net.partition_of(src), now, sched);
         }
         // Yank an outstanding VC request from its waiter FIFO.
         {
@@ -2464,7 +2816,7 @@ impl Machine {
     /// its slot for reuse.
     fn consume_message(&mut self, msg: MsgId, now: SimTime, sched: &mut impl EventScheduler<Event>) {
         let m = self.messages[msg.idx()].take().expect("consuming dead message");
-        self.free_msg(msg);
+        self.free_msg(msg, m.src_node);
         self.counters.messages_consumed += 1;
         if self.timeline.is_enabled() {
             self.timeline.record(Span {
@@ -2975,6 +3327,14 @@ mod tests {
                 mem_bytes: mem,
             }],
         }
+    }
+
+    #[test]
+    fn event_size_is_pinned() {
+        // Every pending event is a heap entry: a wider `Event` (say, a
+        // generation field on `FlitTick`) would grow every entry of every
+        // run. Express timers ride on plain `FlitTick`s instead.
+        assert_eq!(std::mem::size_of::<Event>(), 16);
     }
 
     #[test]

@@ -16,11 +16,19 @@
 //! dependency graph over `(link, class)` pairs is acyclic (asserted by
 //! `parsched_topology::flow`'s test suite). A worm only ever waits for a
 //! VC of its hop's class, so the wait graph is a subgraph of that CDG.
+//!
+//! A worm that crosses a *quiescent* partition — nothing else can contend
+//! for its route until its tail clears — runs on the **express path**
+//! instead: its flit pipeline has a closed form, so the machine schedules
+//! only the worm's externally visible moments ([`Express`]) and applies
+//! the flit ticks' side effects in bulk. The flit path stays the
+//! reference; [`ExpressStats`] counts which path each worm took.
 
 use crate::config::MachineConfig;
 use crate::net::MsgId;
+use crate::process::JobId;
 use crate::wiring::SystemNet;
-use parsched_des::SimDuration;
+use parsched_des::{SimDuration, SimTime, TimeWeighted, TimerHandle};
 use parsched_topology::vc_class_count;
 use std::collections::VecDeque;
 
@@ -50,6 +58,169 @@ pub struct Worm {
     pub total_flits: u64,
     /// Route edges in path order.
     pub links: Vec<WormLink>,
+    /// Express-path state while the worm moves in closed form (`None` for
+    /// a flit-level worm). An express worm holds no VC and has sent
+    /// nothing in the tables until it finishes or is materialized.
+    pub express: Option<Express>,
+}
+
+/// The next visible moment an express worm's timer waits for. Each
+/// moment is armed one flit time ahead by the step before it, so the
+/// timer that performs it is scheduled from the same instant as the flit
+/// tick it replaces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExpressStep {
+    /// One flit time before the tail leaves link 0: arm [`Self::Release`].
+    ArmRelease,
+    /// The tail leaves link 0: free the source buffer (and finish, for a
+    /// one-link route).
+    Release,
+    /// One flit time before the tail reaches the destination: arm
+    /// [`Self::Finish`].
+    ArmFinish,
+    /// The tail reaches the destination: apply every flit tick's effects
+    /// and deliver.
+    Finish,
+}
+
+/// A worm moving in closed form. Flit `k` (1-based) crosses route link
+/// `i` at `t0 + (i + k) * flit_time`, so the tail leaves link 0 at
+/// `t0 + F * flit_time` and reaches the destination at
+/// `t0 + (L - 1 + F) * flit_time` for `F` flits over `L` links.
+#[derive(Debug, Clone, Copy)]
+pub struct Express {
+    /// When the worm started (its link-0 VC grant).
+    pub t0: SimTime,
+    /// The step the pending timer performs.
+    pub step: ExpressStep,
+    /// The pending timer (a `FlitTick` on a route channel).
+    pub timer: TimerHandle,
+}
+
+impl Express {
+    /// The source buffer has been freed (the release step ran).
+    pub fn released(&self) -> bool {
+        matches!(self.step, ExpressStep::ArmFinish | ExpressStep::Finish)
+    }
+}
+
+/// What an express worm's flit ticks have done by flit step `j` (the
+/// ticks at `t0 + s * flit_time` for every `s <= j`): how many flits
+/// crossed route link `i` of `len` links, whether the link's VC was
+/// granted, and whether it is still held.
+pub(crate) fn progress(j: u64, i: usize, len: usize, flits: u64) -> (u64, bool, bool) {
+    let sent = |i: usize| j.saturating_sub(i as u64).min(flits);
+    let granted = i == 0 || j >= i as u64;
+    let held = granted && (i + 1 == len || sent(i + 1) < flits);
+    (sent(i), granted, held)
+}
+
+/// Replay the `busy` gauge updates the flit path makes on route link `i`
+/// through flit step `j`, starting at `t0` with flit time `ft`. Link 0
+/// streams without a pause from its grant to its tail. Every later link
+/// turns on when the head arrives, parks after each flit (the next one
+/// arrives later in the same instant) and is restarted by its upstream
+/// neighbour's tick at once, and turns off after its tail. The replay
+/// performs the identical `set` sequence, so the gauge's floating-point
+/// sum is bit-identical to the flit path's.
+pub(crate) fn replay_busy(
+    busy: &mut TimeWeighted,
+    t0: SimTime,
+    ft: SimDuration,
+    i: u64,
+    flits: u64,
+    j: u64,
+) {
+    let at = |s: u64| t0 + ft * s;
+    if i == 0 {
+        busy.set(at(0), 1.0);
+        if j >= flits {
+            busy.set(at(flits), 0.0);
+        }
+        return;
+    }
+    if j < i {
+        return;
+    }
+    busy.set(at(i), 1.0);
+    for s in i + 1..(i + flits).min(j + 1) {
+        busy.set(at(s), 0.0);
+        busy.set(at(s), 1.0);
+    }
+    if j >= i + flits {
+        busy.set(at(i + flits), 0.0);
+    }
+}
+
+/// Why a worm ran flit by flit instead of on the express path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlitReason {
+    /// The machine runs the flit reference path for every worm.
+    Reference,
+    /// A recorder, metrics registry or timeline observes the run.
+    Observed,
+    /// No closed form: one credit per VC halves the pipeline rate, and a
+    /// zero flit time puts every tick at one instant.
+    Config,
+    /// Another message of the partition is live.
+    Contended,
+    /// A process of the partition may still send.
+    Sender,
+    /// A job is queued, loading or ready on the partition.
+    JobPending,
+    /// A declared fault or the message's delivery timeout falls inside
+    /// the worm's flight.
+    Fault,
+    /// A route link is down, or still ticking after a drained worm.
+    Route,
+}
+
+impl FlitReason {
+    /// Every reason, in [`ExpressStats::flit`] order.
+    pub const ALL: [FlitReason; 8] = [
+        FlitReason::Reference,
+        FlitReason::Observed,
+        FlitReason::Config,
+        FlitReason::Contended,
+        FlitReason::Sender,
+        FlitReason::JobPending,
+        FlitReason::Fault,
+        FlitReason::Route,
+    ];
+}
+
+/// Diagnostic counts of the path each worm took. Kept outside
+/// [`crate::Counters`], which the express and flit paths must agree on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExpressStats {
+    /// Worms started on the express path.
+    pub express: u64,
+    /// Express worms turned back into flit-level state mid-flight.
+    pub materialized: u64,
+    /// Worms started flit by flit, per [`FlitReason::ALL`] entry.
+    pub flit: [u64; 8],
+}
+
+impl ExpressStats {
+    /// Fold another machine's counts into this one.
+    pub fn absorb(&mut self, other: &ExpressStats) {
+        self.express += other.express;
+        self.materialized += other.materialized;
+        for (a, b) in self.flit.iter_mut().zip(other.flit) {
+            *a += b;
+        }
+    }
+}
+
+impl std::fmt::Display for ExpressStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (express, materialized) = (self.express, self.materialized);
+        write!(f, "express {express} (materialized {materialized}), flit")?;
+        for (reason, n) in FlitReason::ALL.iter().zip(self.flit) {
+            write!(f, " {reason:?} {n}")?;
+        }
+        Ok(())
+    }
 }
 
 impl Worm {
@@ -106,6 +277,9 @@ pub struct VcChannel {
     pub rr: u8,
     /// A `FlitTick` chain is live for this channel.
     pub ticking: bool,
+    /// The express worm whose pending timer rides this channel's
+    /// `FlitTick`, if any.
+    pub express: Option<MsgId>,
 }
 
 impl VcChannel {
@@ -116,6 +290,7 @@ impl VcChannel {
             waiting: (0..classes).map(|_| VecDeque::new()).collect(),
             rr: 0,
             ticking: false,
+            express: None,
         }
     }
 
@@ -179,6 +354,17 @@ pub struct WormholeState {
     /// samples this on every grant; a recount would be O(channels) per
     /// sample, which dominated whole runs on 64k-node machines.
     pub held: usize,
+    /// Run every worm flit by flit (the reference path).
+    pub(crate) flit_reference: bool,
+    /// Per partition: live messages (the express path needs exactly one).
+    pub(crate) live_msgs: Vec<u32>,
+    /// Per partition: jobs queued onto it, pruned of finished ones as the
+    /// express check scans them.
+    pub(crate) jobs: Vec<Vec<JobId>>,
+    /// Per partition: the express worm in flight there, if any.
+    pub(crate) express_in: Vec<Option<MsgId>>,
+    /// Which path each worm took (diagnostics only).
+    pub stats: ExpressStats,
 }
 
 impl WormholeState {
@@ -200,6 +386,11 @@ impl WormholeState {
             chans,
             worms: Vec::new(),
             held: 0,
+            flit_reference: false,
+            live_msgs: vec![0; net.partitions()],
+            jobs: vec![Vec::new(); net.partitions()],
+            express_in: vec![None; net.partitions()],
+            stats: ExpressStats::default(),
         }
     }
 
@@ -272,6 +463,7 @@ mod tests {
                 .iter()
                 .map(|&(chan, class)| WormLink { chan, class, vc: None, sent: 0 })
                 .collect(),
+            express: None,
         }
     }
 
@@ -282,7 +474,47 @@ mod tests {
             chans: (0..3).map(|_| VcChannel::new(2, 1)).collect(),
             worms: Vec::new(),
             held: 0,
+            flit_reference: false,
+            live_msgs: Vec::new(),
+            jobs: Vec::new(),
+            express_in: Vec::new(),
+            stats: ExpressStats::default(),
         }
+    }
+
+    #[test]
+    fn progress_follows_the_closed_form_pipeline() {
+        // 3 links, 4 flits: flit k crosses link i at step i + k.
+        let at = |j| (0..3).map(|i| progress(j, i, 3, 4)).collect::<Vec<_>>();
+        assert_eq!(at(0), [(0, true, true), (0, false, false), (0, false, false)]);
+        assert_eq!(at(2), [(2, true, true), (1, true, true), (0, true, true)]);
+        // Step 5: the tail crossed link 1, so link 0's VC is released.
+        assert_eq!(at(5), [(4, true, false), (4, true, true), (3, true, true)]);
+        assert_eq!(at(6), [(4, true, false), (4, true, false), (4, true, true)]);
+    }
+
+    #[test]
+    fn busy_replay_matches_the_flit_ticks() {
+        let t0 = SimTime::ZERO;
+        let ft = SimDuration::from_nanos(10);
+        let end = t0 + ft * 10;
+        // Link 0 streams flits 1..=4 over steps 0..4; link 2 is busy from
+        // the head's arrival at step 2 to its tail at step 6.
+        for (i, busy_from, busy_to) in [(0u64, 0u64, 4u64), (2, 2, 6)] {
+            let mut g = TimeWeighted::new(t0, 0.0);
+            replay_busy(&mut g, t0, ft, i, 4, 6);
+            assert_eq!(g.current(), 0.0);
+            assert_eq!(g.peak(), 1.0);
+            let expect = (busy_to - busy_from) as f64 / 10.0;
+            assert!((g.mean(end) - expect).abs() < 1e-12, "link {i}");
+        }
+        // Mid-flight, link 2 is on and about to move its next flit.
+        let mut g = TimeWeighted::new(t0, 0.0);
+        replay_busy(&mut g, t0, ft, 2, 4, 3);
+        assert_eq!(g.current(), 1.0);
+        let mut g = TimeWeighted::new(t0, 0.0);
+        replay_busy(&mut g, t0, ft, 2, 4, 1);
+        assert_eq!(g.peak(), 0.0, "the head has not reached link 2");
     }
 
     #[test]

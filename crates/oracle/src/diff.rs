@@ -7,6 +7,11 @@
 //! the model, so a comparison failure points at the *first* event where
 //! the histories fork, not just at diverged end-of-run statistics.
 //!
+//! Wormhole scenarios run a third time on the flit reference path
+//! ([`run_flit_reference`]): the express path replaces flit ticks with
+//! closed-form timers, so event histories differ, but response times,
+//! makespan, [`Counters`] and [`MachineStats`] must not.
+//!
 //! On divergence, [`run_differential`] returns a [`Divergence`] whose
 //! `detail` embeds the scenario's replay line, and [`dump_repro`] writes
 //! the whole report under `target/repro/` for offline triage.
@@ -15,7 +20,9 @@ use crate::engine::OracleEngine;
 use crate::scenario::Scenario;
 use parsched_core::{run_batch_sharded, Driver, ExperimentConfig};
 use parsched_des::{Engine, EventScheduler, EventSeeder, Model, RunOutcome, SimDuration, SimTime};
-use parsched_machine::{Counters, Event, JobSpec, Machine, SystemNet};
+use parsched_machine::{
+    Counters, Event, ExpressStats, JobSpec, Machine, MachineStats, Switching, SystemNet,
+};
 use std::path::PathBuf;
 
 /// A model wrapper that records every event the engine delivers, in
@@ -68,6 +75,10 @@ pub struct RunCapture {
     pub counters: Counters,
     /// Engine events processed.
     pub events: u64,
+    /// Machine statistics at completion.
+    pub stats: MachineStats,
+    /// Which path each worm took (all zero off wormhole switching).
+    pub express: ExpressStats,
 }
 
 /// The engine surface the harness needs, implemented by both engines so
@@ -114,10 +125,12 @@ fn run_capture<Eng: DiffEngine<Event>>(
     config: &ExperimentConfig,
     batch: Vec<JobSpec>,
     arrivals: &[SimTime],
+    flit_reference: bool,
 ) -> Result<RunCapture, String> {
     let plan = config.plan();
     let net = SystemNet::from_plan(&plan);
-    let machine = Machine::new(config.machine.clone(), net);
+    let mut machine = Machine::new(config.machine.clone(), net);
+    machine.set_flit_reference(flit_reference);
     let mut driver = Driver::new(
         machine,
         plan,
@@ -150,6 +163,8 @@ fn run_capture<Eng: DiffEngine<Event>>(
         makespan: engine.now().since(SimTime::ZERO),
         counters: driver.machine.counters.clone(),
         events: engine.events_processed(),
+        stats: MachineStats::capture(&driver.machine, engine.now()),
+        express: driver.machine.wormhole().map(|wh| wh.stats).unwrap_or_default(),
     })
 }
 
@@ -161,6 +176,7 @@ pub fn run_optimized(scenario: &Scenario) -> Result<RunCapture, String> {
         &config,
         scenario.batch(),
         &scenario.arrivals,
+        false,
     )
 }
 
@@ -172,6 +188,20 @@ pub fn run_oracle(scenario: &Scenario) -> Result<RunCapture, String> {
         &config,
         scenario.batch(),
         &scenario.arrivals,
+        false,
+    )
+}
+
+/// Run `scenario` under the optimized engine with every worm on the flit
+/// reference path.
+pub fn run_flit_reference(scenario: &Scenario) -> Result<RunCapture, String> {
+    let config = scenario.config();
+    run_capture(
+        Engine::new(config.queue),
+        &config,
+        scenario.batch(),
+        &scenario.arrivals,
+        true,
     )
 }
 
@@ -232,6 +262,39 @@ fn compare_traces(
             if opt.len() > n { &opt[n] } else { &ora[n] }
         );
         return Err(diverge(scenario, "event-count divergence", ctx));
+    }
+    Ok(())
+}
+
+/// Hold a wormhole scenario's express-path run to the flit reference:
+/// identical response times, makespan, counters and machine statistics,
+/// the f64 utilization fields included, bit for bit (compared through
+/// their `Debug` text, which round-trips every f64). Event histories may
+/// differ: skipping flit ticks is the point of the express path.
+fn compare_flit_reference(scenario: &Scenario, capture: &RunCapture) -> Result<(), Divergence> {
+    if scenario.switching != Switching::Wormhole {
+        return Ok(());
+    }
+    let flit = run_flit_reference(scenario)
+        .map_err(|e| diverge(scenario, "flit reference run failed", e))?;
+    let observables = |c: &RunCapture| {
+        [
+            format!("{:?}", c.response_times),
+            format!("{:?}", c.makespan),
+            format!("{:?}", c.counters),
+            format!("{:?}", c.stats),
+        ]
+    };
+    let names = ["response-time", "makespan", "counter", "machine-stats"];
+    let pairs = observables(capture).into_iter().zip(observables(&flit));
+    for (what, (express, reference)) in names.iter().zip(pairs) {
+        if express != reference {
+            return Err(diverge(
+                scenario,
+                &format!("express-path {what} divergence from the flit reference"),
+                format!("express {express}\nflit    {reference}\n({})", capture.express),
+            ));
+        }
     }
     Ok(())
 }
@@ -302,7 +365,9 @@ fn compare_sharded(scenario: &Scenario, capture: &RunCapture) -> Result<(), Dive
 
 /// Run one scenario through both engines and assert bit-identical
 /// behavior: event order, per-job response times, makespan, machine
-/// counters, and events-processed accounting. Scenarios drawn with
+/// counters, and events-processed accounting. Wormhole scenarios must
+/// also match the flit reference path on everything but the event
+/// history. Scenarios drawn with
 /// `shards > 1` additionally run through the conservative-parallel
 /// runner (twice) and must reproduce the same observables. Returns the
 /// (shared) capture on success for further invariant checking.
@@ -347,6 +412,7 @@ pub fn run_differential(scenario: &Scenario) -> Result<RunCapture, Divergence> {
     // Conservation is an absolute law, not a relative one: both engines
     // agreeing on leaked flits would pass every comparison above.
     crate::invariants::check_flit_conservation(&opt.counters);
+    compare_flit_reference(scenario, &opt)?;
     compare_sharded(scenario, &opt)?;
     Ok(opt)
 }

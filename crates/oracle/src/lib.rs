@@ -2,9 +2,9 @@
 //!
 //! The correctness backstop for the optimized simulation stack: the hot
 //! paths (slab messaging, the now-queue bypass, the 4-ary future-event
-//! heap with slot-slab timer cancellation) are held to a promise of
-//! bit-identical simulated results, and this crate is what holds them to
-//! it.
+//! heap with slot-slab timer cancellation, the wormhole express path) are
+//! held to a promise of bit-identical simulated results, and this crate is
+//! what holds them to it.
 //!
 //! Three layers:
 //!
@@ -16,7 +16,9 @@
 //!   partition size × policy × workload × software architecture × batch
 //!   mix, and a differential harness asserting bit-identical event order,
 //!   response times, and final stats between the two engines, with
-//!   self-contained replay seeds on failure;
+//!   self-contained replay seeds on failure. Wormhole scenarios also run
+//!   on the machine's flit reference path, which the wormhole express
+//!   path must match on everything but the event history;
 //! * [`invariants`] — runtime checkers for conservation laws, causality,
 //!   and FCFS admission ordering, callable from any test with recording
 //!   on or off.
@@ -34,6 +36,8 @@ pub mod engine;
 pub mod invariants;
 pub mod scenario;
 
-pub use diff::{dump_repro, run_differential, Divergence, RunCapture, TraceModel};
+pub use diff::{
+    dump_repro, run_differential, run_flit_reference, Divergence, RunCapture, TraceModel,
+};
 pub use engine::OracleEngine;
 pub use scenario::{Order, PolicyClass, Scenario};

@@ -24,7 +24,9 @@ use parsched_des::rng::DetRng;
 use parsched_des::{SimDuration, SimTime};
 use parsched_machine::{FaultPlan, JobSpec, LinkWindow, NodeCrash, RetryPolicy, Switching};
 use parsched_topology::TopologyKind;
-use parsched_workload::{paper_batch, App, Arch, BatchSizes, CostModel};
+use parsched_workload::{
+    paper_batch, pipeline_job, App, Arch, BatchSizes, CostModel, PipelineParams,
+};
 
 /// The three scheduling strategies the paper compares (§4): its "static"
 /// and "time-sharing" policy kinds, with time-sharing split by whether it
@@ -103,6 +105,10 @@ pub struct Scenario {
     /// differential harness re-runs such cases sharded and demands
     /// bit-identical observables.
     pub shards: usize,
+    /// Replace the paper batch with `sizes.jobs` single-wave pipelines (a
+    /// baton relayed through every rank of a partition, one message in
+    /// flight per job), which keeps the wormhole express path busy.
+    pub relay: Option<PipelineParams>,
 }
 
 /// Partition sizes realizable for each paper topology on the 16-node
@@ -389,6 +395,29 @@ impl Scenario {
             system_size = 65_537usize.div_ceil(partition_size) * partition_size;
         }
 
+        // Relay batches (~one wormhole case in three): with one message in
+        // flight per job, most worms cross a quiescent partition and take
+        // the express path. Unsharded time-sharing relays arrive one every
+        // 60-200 ms — longer than a job load, shorter than load plus run —
+        // so jobs land on partitions whose lone resident job has a worm in
+        // flight, which materializes the express worm back into flit
+        // state. Drawn last so earlier sweeps keep their exact draw
+        // sequences.
+        let relay = (switching == Switching::Wormhole && rng.uniform_u64(0, 3) == 0).then(|| {
+            PipelineParams {
+                stages: partition_size,
+                waves: 1,
+                wave_bytes: rng.uniform_u64(1, 33) * 512,
+                stage_work: SimDuration::from_millis(rng.uniform_u64(1, 6)),
+            }
+        });
+        let arrivals = if relay.is_some() && time_sharing && shards == 1 {
+            DeterministicArrivals::new(SimDuration::from_millis(rng.uniform_u64(60, 201)))
+                .take_arrivals(jobs)
+        } else {
+            arrivals
+        };
+
         Scenario {
             case,
             seed,
@@ -407,6 +436,7 @@ impl Scenario {
             arrivals,
             faults,
             shards,
+            relay,
         }
     }
 
@@ -425,13 +455,13 @@ impl Scenario {
 
     /// The (ordered) batch this scenario submits.
     pub fn batch(&self) -> Vec<JobSpec> {
-        let batch = paper_batch(
-            self.app,
-            self.arch,
-            self.partition_size,
-            &self.sizes,
-            &CostModel::default(),
-        );
+        let cost = CostModel::default();
+        let batch = match &self.relay {
+            Some(params) => (0..self.sizes.jobs)
+                .map(|i| pipeline_job(format!("relay-{i}"), params, &cost))
+                .collect(),
+            None => paper_batch(self.app, self.arch, self.partition_size, &self.sizes, &cost),
+        };
         let order = match self.order {
             Order::AsGiven => parsched_core::BatchOrder::AsGiven,
             Order::SmallestFirst => parsched_core::BatchOrder::SmallestFirst,
@@ -452,6 +482,7 @@ impl Scenario {
              shards={shards}\n\
              arrivals={arrivals:?}\n\
              faults={faults:?}\n\
+             relay={relay:?}\n\
              replay: ORACLE_SEED={seed:#x} ORACLE_ONLY_CASE={case} \
              cargo test -p parsched-oracle --test differential -- --include-ignored --nocapture",
             case = self.case,
@@ -471,6 +502,7 @@ impl Scenario {
             shards = self.shards,
             arrivals = self.arrivals,
             faults = self.faults,
+            relay = self.relay,
         )
     }
 }

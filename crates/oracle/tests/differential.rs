@@ -9,9 +9,16 @@
 //!   `ORACLE_ONLY_CASE` replays a single case (all three read by both
 //!   sweeps, so a failure's printed replay line works verbatim).
 //!
+//! Both sweeps print how many worms took the wormhole express path, were
+//! materialized back into flit state, or ran flit by flit (by reason).
+//! Under the default seed (and at least the full sweep's 240 cases) the
+//! full sweep also fails if no worm was materialized, so that branch
+//! stays exercised.
+//!
 //! Every failing case panics with a self-contained replay description and
 //! dumps the full report under `target/repro/oracle_case_<n>.txt`.
 
+use parsched_machine::ExpressStats;
 use parsched_oracle::{dump_repro, run_differential, Scenario};
 
 /// Root seed of the sweeps (override with `ORACLE_SEED`, hex or decimal).
@@ -26,7 +33,8 @@ fn env_u64(name: &str) -> Option<u64> {
     Some(parsed.unwrap_or_else(|e| panic!("bad {name}={raw}: {e}")))
 }
 
-fn sweep(default_cases: u64) {
+/// Run the sweep; returns the summed express-path counts.
+fn sweep(default_cases: u64) -> ExpressStats {
     let seed = env_u64("ORACLE_SEED").unwrap_or(DEFAULT_SEED);
     let cases: Vec<u64> = match env_u64("ORACLE_ONLY_CASE") {
         Some(case) => {
@@ -38,22 +46,28 @@ fn sweep(default_cases: u64) {
         None => (0..env_u64("ORACLE_CASES").unwrap_or(default_cases)).collect(),
     };
     let mut divergences = 0u32;
+    let mut express = ExpressStats::default();
     for &case in &cases {
         let scenario = Scenario::generate(seed, case);
-        if let Err(div) = run_differential(&scenario) {
-            divergences += 1;
-            match dump_repro(&scenario, &div) {
-                Ok(path) => eprintln!("{div}\nrepro dumped to {}", path.display()),
-                Err(io) => eprintln!("{div}\n(repro dump failed: {io})"),
+        match run_differential(&scenario) {
+            Ok(capture) => express.absorb(&capture.express),
+            Err(div) => {
+                divergences += 1;
+                match dump_repro(&scenario, &div) {
+                    Ok(path) => eprintln!("{div}\nrepro dumped to {}", path.display()),
+                    Err(io) => eprintln!("{div}\n(repro dump failed: {io})"),
+                }
             }
         }
     }
+    eprintln!("wormhole worms over {} cases: {express}", cases.len());
     assert_eq!(
         divergences,
         0,
         "{divergences} of {} scenarios diverged from the oracle (see above)",
         cases.len()
     );
+    express
 }
 
 #[test]
@@ -65,7 +79,15 @@ fn differential_sweep_fast() {
 #[test]
 #[ignore = "long sweep; run via scripts/tier1.sh tier1-full or ORACLE_CASES=N cargo test -- --include-ignored"]
 fn differential_sweep_full() {
-    sweep(240);
+    let express = sweep(240);
+    // The default seed's first 240 cases materialize express worms twice;
+    // smaller or reseeded sweeps may legitimately see none.
+    let default_sweep = env_u64("ORACLE_SEED").is_none_or(|s| s == DEFAULT_SEED)
+        && env_u64("ORACLE_ONLY_CASE").is_none()
+        && env_u64("ORACLE_CASES").is_none_or(|n| n >= 240);
+    if default_sweep {
+        assert!(express.materialized > 0, "no express worm was materialized: {express}");
+    }
 }
 
 /// The invariant checkers hold on randomized scenarios too, not just the
@@ -192,6 +214,7 @@ fn coordinated_classes_shard_bit_identically() {
                 arrivals: Vec::new(),
                 faults: faults.clone(),
                 shards,
+                relay: None,
             };
             assert_eq!(
                 shard_eligibility(&scenario.config()),

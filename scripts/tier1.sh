@@ -37,6 +37,12 @@
 #                                override the sweep size and root seed. A
 #                                failing case prints its replay line and
 #                                dumps the full report under target/repro/.
+#                                Wormhole cases also run on the flit
+#                                reference path; the sweep prints how many
+#                                worms went express, were materialized, or
+#                                ran flit by flit (by reason), and under
+#                                the default seed fails if none was
+#                                materialized.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,7 +60,7 @@ cargo run --release -p parsched-bench --bin scale -- --smoke
 if [ "$mode" = "tier1-full" ]; then
     ORACLE_CASES="${ORACLE_CASES:-480}" \
         cargo test --release -q -p parsched-oracle --test differential \
-        -- --include-ignored differential_sweep_full
+        -- --include-ignored --nocapture differential_sweep_full
 fi
 
 # Trace smoke: the observability pipeline end-to-end — instrumented 16H
