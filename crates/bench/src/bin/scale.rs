@@ -20,7 +20,9 @@
 //! across a 70 225-node single-partition torus with blocked placement, so
 //! real messages route between nodes whose indices do not fit the
 //! pre-widening `u16`, and the observed event stream is asserted to
-//! contain them.
+//! contain them. Both runs also check the machine's work counter: it
+//! built exactly the partitions up to the highest one a job landed on
+//! (`Machine::built_partitions`), not the whole machine.
 //!
 //! The ranking sweep holds the fabric fixed (64-node 8×8-torus
 //! partitions, wormhole switching) and scales only the machine: 256
@@ -32,8 +34,8 @@
 use parsched_bench::scale::{tscale, Cell4k, ScalePoint};
 use parsched_core::prelude::*;
 use parsched_des::prelude::*;
-use parsched_machine::{JobSpec, Switching};
-use parsched_obs::ObsEvent;
+use parsched_machine::{Event, JobSpec, Machine, MachineMetrics, Switching, SystemNet};
+use parsched_obs::{CollectRecorder, ObsEvent};
 use parsched_topology::{build, NodeId, Router, Topology, TopologyKind};
 use parsched_workload::prelude::*;
 
@@ -125,6 +127,53 @@ fn assert_route(topo: &Topology, router: &Router, src: usize, dst: usize) {
     }
 }
 
+/// Run `batch` under `cfg` as `run_batch` does (as `run_batch_observed`
+/// does when `observe` is set) and hand back the finished driver, whose
+/// machine still holds what the run built.
+fn drive(cfg: &ExperimentConfig, batch: Vec<JobSpec>, observe: bool) -> Driver {
+    let plan = cfg.try_plan().expect("realizable configuration");
+    let mut machine = Machine::new(cfg.machine.clone(), SystemNet::from_plan(&plan));
+    if observe {
+        machine.recorder = Some(Box::new(CollectRecorder::new()));
+        machine.metrics = Some(Box::new(MachineMetrics::new(machine.net(), machine.t0())));
+    }
+    let mut driver = Driver::new(machine, plan, cfg.policy, cfg.rule, cfg.placement, batch)
+        .with_discipline(cfg.discipline);
+    if let Some(mpl) = cfg.mpl {
+        driver = driver.with_mpl(mpl);
+    }
+    let mut engine: Engine<Event> = Engine::new(cfg.queue);
+    engine.max_events = cfg.machine.max_events;
+    driver.start(&mut engine);
+    assert_eq!(engine.run(&mut driver), RunOutcome::Drained, "run did not drain");
+    assert!(driver.all_done(), "run left jobs unfinished");
+    driver
+}
+
+/// Mean response time of a finished run, in seconds.
+fn mean_response(driver: &Driver) -> f64 {
+    Summary::of_durations(&driver.response_times()).mean
+}
+
+/// The machine built exactly the partitions up to the highest one a job
+/// landed on — not the whole machine. Returns `(built, partitions)`.
+fn assert_built_only_where_jobs_landed(driver: &Driver, what: &str) -> (usize, usize) {
+    let m = &driver.machine;
+    let landed = m
+        .jobs()
+        .iter()
+        .map(|j| m.net().partition_of(j.placement[0]) + 1)
+        .max()
+        .expect("the run had jobs");
+    assert_eq!(
+        m.built_partitions(),
+        landed,
+        "{what}: built {} partitions, but jobs reached only 0..{landed}",
+        m.built_partitions()
+    );
+    (landed, m.net().partitions())
+}
+
 fn smoke() {
     let t0 = std::time::Instant::now();
     // 1. Construct + route a 16k-node torus at the topology layer.
@@ -140,16 +189,15 @@ fn smoke() {
     // 2. One short wormhole run at 16 384 nodes (the t16k torus cell,
     //    sequential, no golden — perf pins the goldens).
     let (cfg, batch) = tscale(Cell4k::Torus, ScalePoint::T16k, Switching::Wormhole);
-    let r = run_batch(&cfg, batch).expect("16k wormhole run simulates");
-    assert!(
-        r.mean_response().is_finite() && r.mean_response() > 0.0,
-        "16k mean response {}",
-        r.mean_response()
-    );
+    let jobs = batch.len();
+    let d = drive(&cfg, batch, false);
+    let mean = mean_response(&d);
+    assert!(mean.is_finite() && mean > 0.0, "16k mean response {mean}");
+    let (built, parts) = assert_built_only_where_jobs_landed(&d, "16k wormhole run");
+    assert!(built <= jobs && built < parts, "{jobs} jobs built {built} of {parts} partitions");
     println!(
-        "scale --smoke: 16 384-node wormhole run OK (mean response {:.3} s, {} events) [{:.2?}]",
-        r.mean_response(),
-        r.events,
+        "scale --smoke: 16 384-node wormhole run OK (mean response {mean:.3} s, \
+         built {built} of {parts} partitions) [{:.2?}]",
         t1.elapsed()
     );
     let t2 = std::time::Instant::now();
@@ -191,10 +239,17 @@ fn smoke() {
             j
         })
         .collect();
-    let (r, obs) = run_batch_observed(&cfg, batch).expect("crossing run simulates");
-    assert!(r.mean_response().is_finite() && r.mean_response() > 0.0);
-    let high_traffic = obs
-        .events
+    let mut d = drive(&cfg, batch, true);
+    let mean = mean_response(&d);
+    assert!(mean.is_finite() && mean > 0.0, "crossing mean response {mean}");
+    assert_built_only_where_jobs_landed(&d, "crossing run");
+    let mut recorder = d.machine.recorder.take().expect("recorder installed");
+    let events = recorder
+        .as_any_mut()
+        .downcast_mut::<CollectRecorder>()
+        .expect("a collector")
+        .take_events();
+    let high_traffic = events
         .iter()
         .filter(|(_, e)| {
             matches!(e, ObsEvent::MsgSend { src, dst, .. } if *src > 65_535 || *dst > 65_535)

@@ -20,16 +20,18 @@
 //! (torus, fat-tree, dragonfly — the t4k cells), and a gang-scheduled
 //! configuration must still fall back with a recorded reason. Every
 //! sharded case also checks that the shards' machines add up to the whole
-//! machine (`ShardTiming::nodes`): each shard builds only its own
-//! partitions.
+//! machine (`ShardTiming::nodes`): each shard owns only its own
+//! partitions, and builds at most those (`ShardTiming::built_nodes`, the
+//! partitions its jobs and faults reached; printed per shard as
+//! built/owned).
 //!
 //! Full mode sweeps shard counts 1, 2, 4 and prints each run's wall
 //! clock, speedup over sequential, the (identical) simulated mean, and —
 //! when a run fell back to the sequential path — the recorded reason.
 //! A second table breaks each parallel run down per shard (in-thread
 //! machine build and teardown vs. event-loop work vs. barrier wait vs.
-//! cross-shard merge, plus the shard machine's node count, from
-//! `ShardedRunResult::timings`); the work/barrier/merge numbers feed
+//! cross-shard merge, plus the shard machine's owned and built node
+//! counts, from `ShardedRunResult::timings`); the work/barrier/merge numbers feed
 //! `ObsEvent::ShardPhase` events into a `MetricsRegistry` gauge so the
 //! breakdown lands in the metrics CSV next to the simulated gauges.
 //! Both tables render to CSV (`--csv`, or `--out DIR` for `shards.csv`,
@@ -83,18 +85,24 @@ fn assert_matches(seq: &ShardedRunResult, par: &ShardedRunResult, what: &str) {
 }
 
 /// Every shard of a parallel run simulates only its own partitions: the
-/// shards' machines together cover the machine exactly once.
+/// shards' machines together cover the machine exactly once, and each
+/// builds at most the partitions it owns.
 fn assert_shards_own_their_partitions(
     cfg: &ExperimentConfig,
     par: &ShardedRunResult,
     what: &str,
 ) {
     let nodes: Vec<usize> = par.timings.iter().map(|t| t.nodes).collect();
+    let built: Vec<usize> = par.timings.iter().map(|t| t.built_nodes).collect();
     assert_eq!(
         nodes.iter().sum::<usize>(),
         cfg.system_size,
         "{what}: shard machines {nodes:?} must partition the {}-node machine",
         cfg.system_size
+    );
+    assert!(
+        built.iter().zip(&nodes).all(|(b, n)| b <= n),
+        "{what}: shards built {built:?} of {nodes:?} nodes"
     );
 }
 
@@ -110,7 +118,12 @@ fn assert_shards_bit_identically(cfg: &ExperimentConfig, batch: &[JobSpec], what
     assert_eq!(par.shards, 2, "{what}: must use 2 shards");
     assert_matches(&seq, &par, what);
     assert_shards_own_their_partitions(cfg, &par, what);
-    println!("shards --smoke: {what}: OK (K=2 bit-identical)");
+    let built: Vec<String> =
+        par.timings.iter().map(|t| format!("{}/{}", t.built_nodes, t.nodes)).collect();
+    println!(
+        "shards --smoke: {what}: OK (K=2 bit-identical; built/owned nodes per shard {})",
+        built.join(", ")
+    );
 }
 
 fn smoke() {
@@ -261,6 +274,7 @@ fn sweep(counts: &[usize]) -> (FigureTable, FigureTable, String) {
                     format!("{:.3}", t.barrier_ns as f64 / 1e9),
                     format!("{:.3}", t.merge_ns as f64 / 1e9),
                     format!("{}", t.nodes),
+                    format!("{}", t.built_nodes),
                 ],
             });
         }
@@ -299,6 +313,7 @@ fn sweep(counts: &[usize]) -> (FigureTable, FigureTable, String) {
             "barrier (s)".into(),
             "merge (s)".into(),
             "nodes".into(),
+            "built".into(),
         ],
         rows: phase_rows,
     };

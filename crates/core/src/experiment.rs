@@ -290,10 +290,8 @@ fn execute(
             .expect("installed a CollectRecorder above");
         let layout = TraceLayout {
             node_count: u32::try_from(machine.net().nodes()).expect("node count exceeds u32"),
-            links: machine
-                .net()
-                .channels()
-                .iter()
+            links: (0..machine.net().channel_count())
+                .map(|c| machine.net().channel(c))
                 .map(|c| (c.from, c.to))
                 .collect(),
             job_names: machine.jobs().iter().map(|j| j.name.clone()).collect(),

@@ -345,8 +345,10 @@ struct ShardOut {
 impl ShardOut {
     /// Summarize a shard, then drop its driver (machine included) and
     /// engine on the calling thread, timing the teardown as construction.
-    fn finish(driver: Driver, engine: Engine<Event>, timing: ShardTiming) -> ShardOut {
+    fn finish(driver: Driver, engine: Engine<Event>, mut timing: ShardTiming) -> ShardOut {
         let done = driver.all_done();
+        let machine = &driver.machine;
+        timing.built_nodes = machine.built_partitions() * machine.net().partition_size();
         let mut out = ShardOut {
             responses: if done { driver.owned_responses() } else { Vec::new() },
             counters: driver.machine.counters.clone(),

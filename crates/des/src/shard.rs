@@ -212,8 +212,9 @@ impl<M: ShardModel> Model for WindowShim<'_, M> {
 /// sharded run spends its time: building and tearing down its model
 /// (`build_ns`), simulating (`work_ns`), blocked on the window barriers
 /// (`barrier_ns`), or routing/merging cross-shard mail (`merge_ns`), plus
-/// the size of the machine the shard simulated (`nodes`). Wall-clock and
-/// shape only — it never feeds a simulated result or a fingerprint.
+/// the size of the machine the shard simulated (`nodes`) and how much of
+/// it the shard's run built (`built_nodes`). Wall-clock and shape only —
+/// it never feeds a simulated result or a fingerprint.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardTiming {
     /// Time spent in the engine's run loop (event processing).
@@ -227,6 +228,10 @@ pub struct ShardTiming {
     pub build_ns: u64,
     /// Processors in the shard's model (0 when the caller built it).
     pub nodes: usize,
+    /// Processors whose state the shard's model built by the end of its
+    /// run: the partitions its jobs and faults reached (0 when the caller
+    /// built the model).
+    pub built_nodes: usize,
 }
 
 /// `K` independent engines plus the window/barrier/mailbox machinery.

@@ -98,8 +98,8 @@ impl Cpu {
     /// An idle CPU.
     pub fn new(t0: SimTime) -> Cpu {
         Cpu {
-            high: VecDeque::with_capacity(32),
-            low: VecDeque::with_capacity(32),
+            high: VecDeque::new(),
+            low: VecDeque::new(),
             running: None,
             hold: false,
             seq: 0,

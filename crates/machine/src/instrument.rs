@@ -51,10 +51,8 @@ impl MachineMetrics {
         let ready_depth = (0..nodes)
             .map(|n| registry.gauge(format!("node{n}.ready_depth"), 0.0))
             .collect();
-        let link_busy = net
-            .channels()
-            .iter()
-            .map(|c| registry.gauge(format!("link{}.busy", c.label()), 0.0))
+        let link_busy = (0..net.channel_count())
+            .map(|c| registry.gauge(format!("link{}.busy", net.channel(c).label()), 0.0))
             .collect();
         let partition_mpl = (0..net.partitions())
             .map(|p| registry.gauge(format!("P{p}.mpl"), 0.0))

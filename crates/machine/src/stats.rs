@@ -178,6 +178,12 @@ impl MachineStats {
     }
 
     /// Snapshot `machine` at time `at`.
+    ///
+    /// Only built state is walked. A node or channel the machine never
+    /// built is idle since `t0`, so its utilization and mean memory are
+    /// exactly `0.0` and its counts are zero; adding `+0.0` leaves an f64
+    /// sum unchanged, so every field equals what walking the whole machine
+    /// gives. Denominators are the machine's full node and channel counts.
     pub fn capture(machine: &Machine, at: SimTime) -> MachineStats {
         let n = machine.node_count();
         let mut cpu_utilization = Vec::with_capacity(n);
@@ -189,8 +195,7 @@ impl MachineStats {
         let mut peak_mem = 0;
         let mut delayed = 0;
         let mut wait = SimDuration::ZERO;
-        for i in 0..n {
-            let node = machine.node(u32::try_from(i).expect("node index exceeds u32"));
+        for node in machine.built_nodes() {
             cpu_utilization.push(node.cpu.busy.mean(at));
             ctx_switches += node.cpu.ctx_switches;
             handler_runs += node.cpu.handler_runs;
@@ -201,6 +206,7 @@ impl MachineStats {
             delayed += node.mmu.delayed_grants;
             wait += node.mmu.total_wait;
         }
+        cpu_utilization.resize(n, 0.0);
         let mut link_sum = 0.0;
         let mut link_max: f64 = 0.0;
         let mut link_bytes = 0;
@@ -210,7 +216,7 @@ impl MachineStats {
             link_max = link_max.max(u);
             link_bytes += ch.bytes_carried;
         }
-        let chans = machine.channel_states().len();
+        let chans = machine.net().channel_count();
         MachineStats {
             at,
             mean_cpu_utilization: if n == 0 {

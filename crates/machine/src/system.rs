@@ -346,11 +346,26 @@ impl Counters {
 }
 
 /// The simulated multicomputer.
+///
+/// Per-node and per-channel state is built for a prefix of the machine's
+/// partitions: partitions `0..built` (see [`Machine::built_partitions`]).
+/// It starts empty and grows, with idle state stamped at `t0`, to cover a
+/// partition when a job is queued onto it or a fault names one of its
+/// nodes or channels. Until then nothing can have touched that state, so
+/// building it late is the same as building it at construction. The
+/// state stays in flat vectors indexed by global id, so every access on
+/// the event path is a plain index.
 pub struct Machine {
     /// Timing and policy-mechanism configuration.
     pub cfg: MachineConfig,
     net: SystemNet,
+    /// Per-node state of the built partitions.
     nodes: Vec<Node>,
+    /// What [`Machine::node`] returns for a node not built yet.
+    idle: Node,
+    /// Partitions whose state is built (a prefix of the plan).
+    built: usize,
+    /// Per-channel state of the built partitions.
     channels: Vec<ChannelState>,
     procs: Vec<Process>,
     jobs: Vec<JobRuntime>,
@@ -373,8 +388,9 @@ pub struct Machine {
     /// (never both at once). Guarded by `msg_gen` like the escape timers;
     /// `None` whenever the fault plan sets no `msg_timeout`.
     fault_timers: Vec<Option<TimerHandle>>,
-    /// Per-node fail-stop flag (fault plan). A dead node's CPU schedules
-    /// no new job work, but its link engines keep forwarding traffic.
+    /// Per-node fail-stop flag (fault plan), over the built nodes. A dead
+    /// node's CPU schedules no new job work, but its link engines keep
+    /// forwarding traffic.
     dead: Vec<bool>,
     /// Deterministic per-hop drop lottery: one independent substream per
     /// channel (`drop_seed` → `substream_idx("drop", chan)`), so the draw
@@ -383,8 +399,8 @@ pub struct Machine {
     /// machine-wide channel index ([`SystemNet::channel_base`] plus the
     /// local one), which makes the lottery identical whether the machine
     /// simulates the whole system or one shard's partitions. Built
-    /// (and drawn) only while `cfg.faults.drop_prob > 0`; an empty plan
-    /// allocates nothing and performs zero draws.
+    /// (and drawn) only while `cfg.faults.drop_prob > 0`, for the built
+    /// channels; an empty plan allocates nothing and performs zero draws.
     drop_rngs: Vec<DetRng>,
     /// Cached `!cfg.faults.is_empty()`: gates every fault-path branch so a
     /// clean run stays on the exact pre-fault code path.
@@ -412,51 +428,25 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Build a machine over the given wiring.
+    /// Build a machine over the given wiring. No partition's state is
+    /// built yet: it grows as jobs and faults reach partitions.
     pub fn new(cfg: MachineConfig, net: SystemNet) -> Machine {
         let t0 = SimTime::ZERO;
-        let nodes = (0..net.nodes())
-            .map(|_| {
-                let capacity = cfg.mem_capacity.saturating_sub(cfg.os_overhead);
-                let mut mmu = Mmu::new(capacity, t0);
-                mmu.policy = cfg.alloc_policy;
-                mmu.set_transit_reserve(cfg.transit_reserve);
-                Node {
-                    cpu: Cpu::new(t0),
-                    mmu,
-                }
-            })
-            .collect();
-        let channels = net
-            .channels()
-            .iter()
-            .map(|c| ChannelState::new(c.from, c.to, t0))
-            .collect();
         let timeline = if cfg.record_timeline {
             Timeline::enabled(2_000_000)
         } else {
             Timeline::disabled()
         };
         let faults_on = !cfg.faults.is_empty();
-        let drop_rngs = if cfg.faults.drop_prob > 0.0 {
-            // Keyed by the machine-wide channel index, so a sub-network
-            // draws exactly the whole machine's numbers on its channels.
-            let root = DetRng::new(cfg.faults.drop_seed);
-            let base = net.channel_base();
-            (0..net.channels().len())
-                .map(|c| root.substream_idx("drop", (base + c) as u64))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let dead = vec![false; net.nodes()];
         let wormhole =
             (cfg.switching == Switching::Wormhole).then(|| WormholeState::new(&cfg, &net));
         Machine {
+            idle: idle_node(&cfg, t0),
             cfg,
             net,
-            nodes,
-            channels,
+            nodes: Vec::new(),
+            built: 0,
+            channels: Vec::new(),
             procs: Vec::new(),
             jobs: Vec::new(),
             messages: Vec::new(),
@@ -464,8 +454,8 @@ impl Machine {
             msg_gen: Vec::new(),
             escape_timers: Vec::new(),
             fault_timers: Vec::new(),
-            dead,
-            drop_rngs,
+            dead: Vec::new(),
+            drop_rngs: Vec::new(),
             faults_on,
             wormhole,
             notes: Vec::new(),
@@ -476,6 +466,57 @@ impl Machine {
             loader_free_at: SimTime::ZERO,
             t0,
         }
+    }
+
+    /// Build every partition's state now. A machine built whole is the
+    /// reference the differential oracle holds the on-demand one to.
+    #[doc(hidden)]
+    pub fn build_all(&mut self) {
+        if let Some(last) = self.net.partitions().checked_sub(1) {
+            self.grow_to(last);
+        }
+    }
+
+    /// Partitions whose per-node and per-channel state is built: jobs
+    /// queued onto them, faults naming them, and every partition before.
+    pub fn built_partitions(&self) -> usize {
+        self.built
+    }
+
+    /// Build idle state, stamped `t0`, for every partition up to and
+    /// including `p`.
+    fn grow_to(&mut self, p: usize) {
+        if p < self.built {
+            return;
+        }
+        self.built = p + 1;
+        let nodes = self.built * self.net.partition_size();
+        let chans = self.built * self.net.channels_per_partition();
+        let (cfg, t0) = (&self.cfg, self.t0);
+        self.nodes.resize_with(nodes, || idle_node(cfg, t0));
+        self.dead.resize(nodes, false);
+        let net = &self.net;
+        self.channels.extend((self.channels.len()..chans).map(|c| {
+            let g = net.channel(c);
+            ChannelState::new(g.from, g.to, t0)
+        }));
+        if self.cfg.faults.drop_prob > 0.0 {
+            // Keyed by the machine-wide channel index, so a sub-network
+            // draws exactly the whole machine's numbers on its channels.
+            let root = DetRng::new(self.cfg.faults.drop_seed);
+            let base = self.net.channel_base();
+            self.drop_rngs.extend(
+                (self.drop_rngs.len()..chans).map(|c| root.substream_idx("drop", (base + c) as u64)),
+            );
+        }
+        if let Some(wh) = self.wormhole.as_mut() {
+            wh.grow(chans);
+        }
+    }
+
+    /// Build the partition of channel `c`, if it is not built yet.
+    fn grow_for_channel(&mut self, c: u32) {
+        self.grow_to(c as usize / self.net.channels_per_partition());
     }
 
     /// Emit a typed event (single branch when no recorder is installed).
@@ -533,8 +574,9 @@ impl Machine {
     #[inline]
     fn note_alive_capacity(&mut self, now: SimTime) {
         if self.metrics.is_some() {
-            let alive = self.dead.iter().filter(|&&d| !d).count() as f64;
-            let frac = alive / self.dead.len().max(1) as f64;
+            let dead = self.dead.iter().filter(|&&d| d).count();
+            let nodes = self.node_count();
+            let frac = (nodes - dead) as f64 / nodes.max(1) as f64;
             if let Some(m) = self.metrics.as_deref_mut() {
                 m.set_alive_capacity(now, frac);
             }
@@ -592,9 +634,9 @@ impl Machine {
         });
     }
 
-    /// Number of processors.
+    /// Number of processors (built or not).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.net.nodes()
     }
 
     /// The wiring.
@@ -602,12 +644,24 @@ impl Machine {
         &self.net
     }
 
-    /// Per-node state (read-only).
+    /// Per-node state (read-only). A node whose partition is not built
+    /// reads as one shared idle node.
+    ///
+    /// # Panics
+    /// Panics when `n` is not below [`Machine::node_count`].
     pub fn node(&self, n: u32) -> &Node {
-        &self.nodes[n as usize]
+        assert!((n as usize) < self.node_count(), "node {n} out of range");
+        self.nodes.get(n as usize).unwrap_or(&self.idle)
     }
 
-    /// Per-channel state (read-only).
+    /// Per-node state of the built partitions, indexed by node id. Every
+    /// node past the end is idle.
+    pub(crate) fn built_nodes(&self) -> &[Node] {
+        &self.nodes
+    }
+
+    /// Per-channel state of the built partitions, indexed by channel id.
+    /// Every channel past the end is idle.
     pub fn channel_states(&self) -> &[ChannelState] {
         &self.channels
     }
@@ -704,7 +758,7 @@ impl Machine {
         assert!(!placement.is_empty(), "job needs at least one process");
         let part = self.net.partition_of(placement[0]);
         for &n in &placement {
-            assert!((n as usize) < self.nodes.len(), "node {n} out of range");
+            assert!((n as usize) < self.node_count(), "node {n} out of range");
             assert_eq!(
                 self.net.partition_of(n),
                 part,
@@ -712,6 +766,7 @@ impl Machine {
                 spec.name
             );
         }
+        self.grow_to(part);
         let id = JobId(self.jobs.len() as u32);
         if let Some(wh) = self.wormhole.as_mut() {
             wh.jobs[part].push(id);
@@ -732,7 +787,8 @@ impl Machine {
         for &(node, bytes) in &per_node {
             assert!(
                 bytes <= usable,
-                "job '{}' needs {bytes} B on node {node} but only {usable} B                  of the {} B node memory is usable",
+                "job '{}' needs {bytes} B on node {node} but only {usable} B \
+                 of the {} B node memory is usable",
                 spec.name,
                 self.cfg.mem_capacity,
             );
@@ -798,11 +854,11 @@ impl Machine {
         let mut crashes = plan.crashes.clone();
         crashes.sort_by_key(|c| (c.at, c.node));
         for c in &crashes {
-            if (c.node as usize) < self.nodes.len() {
+            if (c.node as usize) < self.node_count() {
                 seeder.seed(c.at, Event::NodeCrash { node: c.node });
             }
         }
-        let nodes = self.nodes.len();
+        let nodes = self.node_count();
         for w in &plan.links {
             if w.up_at <= w.down_at || w.from as usize >= nodes || w.to as usize >= nodes {
                 continue;
@@ -818,7 +874,7 @@ impl Machine {
 
     /// False once the node's CPU has fail-stopped (fault plan).
     pub fn node_alive(&self, n: u32) -> bool {
-        !self.dead[n as usize]
+        !self.dead.get(n as usize).copied().unwrap_or(false)
     }
 
     // ------------------------------------------------------------------
@@ -2067,7 +2123,7 @@ impl Machine {
             .net
             .local_route(src, dst)
             .expect("job placement spans partitions");
-        let kind = self.net.partition_kind(p);
+        let kind = self.net.kind();
         let classes = vc_classes(kind, self.net.partition_size(), NodeId(src - base), &local);
         let mut links = Vec::with_capacity(local.len());
         let mut prev = src;
@@ -2967,6 +3023,7 @@ impl Machine {
     /// link are drained deterministically (ascending message id) and their
     /// messages re-enter via the retry protocol.
     fn on_link_down(&mut self, chan: u32, now: SimTime, sched: &mut impl EventScheduler<Event>) {
+        self.grow_for_channel(chan);
         let ch = &mut self.channels[chan as usize];
         if !ch.up {
             return;
@@ -2999,6 +3056,7 @@ impl Machine {
 
     /// A declared link-outage window closes: resume the channel's queue.
     fn on_link_up(&mut self, chan: u32, now: SimTime, sched: &mut impl EventScheduler<Event>) {
+        self.grow_for_channel(chan);
         let ci = chan as usize;
         if self.channels[ci].up {
             return;
@@ -3054,6 +3112,7 @@ impl Machine {
     /// traffic. Messages never cross jobs, so no surviving job ever
     /// addresses the dead CPU.
     fn on_node_crash(&mut self, node: u32, now: SimTime, sched: &mut impl EventScheduler<Event>) {
+        self.grow_to(self.net.partition_of(node));
         if self.dead[node as usize] {
             return;
         }
@@ -3300,6 +3359,18 @@ impl Model for Machine {
     }
 }
 
+/// An idle node stamped `t0`: the state a node has until something runs
+/// on it.
+fn idle_node(cfg: &MachineConfig, t0: SimTime) -> Node {
+    let mut mmu = Mmu::new(cfg.mem_capacity.saturating_sub(cfg.os_overhead), t0);
+    mmu.policy = cfg.alloc_policy;
+    mmu.set_transit_reserve(cfg.transit_reserve);
+    Node {
+        cpu: Cpu::new(t0),
+        mmu,
+    }
+}
+
 impl Machine {
     /// The machine's start-of-time (for statistics baselines).
     pub fn t0(&self) -> SimTime {
@@ -3369,7 +3440,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "usable")]
+    #[should_panic(expected = "but only 2883584 B of the 4194304 B node memory is usable")]
     fn queue_job_rejects_impossible_memory() {
         let mut m = single_node_machine();
         m.queue_job(

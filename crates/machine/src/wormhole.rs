@@ -346,8 +346,14 @@ pub struct WormholeState {
     pub flit_time: SimDuration,
     /// Flit credits per VC buffer (downstream slots per link).
     pub credits: u64,
-    /// Per-channel VC tables (parallel to the machine's channel table).
+    /// Per-channel VC tables, parallel to the machine's channel state:
+    /// they cover the partitions the machine has built
+    /// ([`WormholeState::grow`]).
     pub chans: Vec<VcChannel>,
+    /// Escape classes per link (one topology shape per machine).
+    classes: u8,
+    /// VCs per escape class.
+    per_class: u8,
     /// Per-message worm slots (grown on demand, like the message slab).
     pub worms: Vec<Option<Worm>>,
     /// Running count of held VCs across all channels. The occupancy gauge
@@ -368,22 +374,16 @@ pub struct WormholeState {
 }
 
 impl WormholeState {
-    /// Build the VC tables for every channel of `net`: each link carries
-    /// the escape classes its partition's topology shape requires.
+    /// Wormhole state for `net` with no VC tables yet: each link carries
+    /// the escape classes its partitions' topology shape requires, and the
+    /// machine grows the tables with its channel state.
     pub fn new(cfg: &MachineConfig, net: &SystemNet) -> WormholeState {
-        let per_class = cfg.vcs_per_class.max(1);
-        let chans = net
-            .channels()
-            .iter()
-            .map(|c| {
-                let kind = net.partition_kind(net.partition_of(c.from));
-                VcChannel::new(vc_class_count(kind), per_class)
-            })
-            .collect();
         WormholeState {
             flit_time: cfg.flit_time(),
             credits: u64::from(cfg.vc_credits.max(1)),
-            chans,
+            chans: Vec::new(),
+            classes: vc_class_count(net.kind()),
+            per_class: cfg.vcs_per_class.max(1),
             worms: Vec::new(),
             held: 0,
             flit_reference: false,
@@ -392,6 +392,12 @@ impl WormholeState {
             express_in: vec![None; net.partitions()],
             stats: ExpressStats::default(),
         }
+    }
+
+    /// Extend the VC tables with idle links up to `chans` channels.
+    pub(crate) fn grow(&mut self, chans: usize) {
+        let (classes, per_class) = (self.classes, self.per_class);
+        self.chans.resize_with(chans, || VcChannel::new(classes, per_class));
     }
 
     /// The worm of a message, if one is in flight.
@@ -472,6 +478,8 @@ mod tests {
             flit_time: SimDuration::from_nanos(10),
             credits,
             chans: (0..3).map(|_| VcChannel::new(2, 1)).collect(),
+            classes: 2,
+            per_class: 1,
             worms: Vec::new(),
             held: 0,
             flit_reference: false,

@@ -12,6 +12,12 @@
 //! closed-form timers, so event histories differ, but response times,
 //! makespan, [`Counters`] and [`MachineStats`] must not.
 //!
+//! Every scenario also runs on a machine built whole at construction
+//! ([`run_eager_build`]) against the optimized run's machine, which builds
+//! partitions as jobs and faults reach them. Building late must change
+//! nothing: the event history, events processed, response times,
+//! makespan, [`Counters`] and the full [`MachineStats`] agree bit for bit.
+//!
 //! On divergence, [`run_differential`] returns a [`Divergence`] whose
 //! `detail` embeds the scenario's replay line, and [`dump_repro`] writes
 //! the whole report under `target/repro/` for offline triage.
@@ -120,17 +126,32 @@ impl<E> DiffEngine<E> for OracleEngine<E> {
     }
 }
 
+/// Which machine a capture runs: the production one, or one of its two
+/// reference paths.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Build {
+    /// Partitions built on demand, worms express where they can.
+    Production,
+    /// Every worm on the flit reference path.
+    FlitReference,
+    /// Every partition built at construction ([`Machine::build_all`]).
+    Eager,
+}
+
 fn run_capture<Eng: DiffEngine<Event>>(
     mut engine: Eng,
     config: &ExperimentConfig,
     batch: Vec<JobSpec>,
     arrivals: &[SimTime],
-    flit_reference: bool,
+    build: Build,
 ) -> Result<RunCapture, String> {
     let plan = config.plan();
     let net = SystemNet::from_plan(&plan);
     let mut machine = Machine::new(config.machine.clone(), net);
-    machine.set_flit_reference(flit_reference);
+    machine.set_flit_reference(build == Build::FlitReference);
+    if build == Build::Eager {
+        machine.build_all();
+    }
     let mut driver = Driver::new(
         machine,
         plan,
@@ -176,7 +197,7 @@ pub fn run_optimized(scenario: &Scenario) -> Result<RunCapture, String> {
         &config,
         scenario.batch(),
         &scenario.arrivals,
-        false,
+        Build::Production,
     )
 }
 
@@ -188,7 +209,7 @@ pub fn run_oracle(scenario: &Scenario) -> Result<RunCapture, String> {
         &config,
         scenario.batch(),
         &scenario.arrivals,
-        false,
+        Build::Production,
     )
 }
 
@@ -201,7 +222,20 @@ pub fn run_flit_reference(scenario: &Scenario) -> Result<RunCapture, String> {
         &config,
         scenario.batch(),
         &scenario.arrivals,
-        true,
+        Build::FlitReference,
+    )
+}
+
+/// Run `scenario` under the optimized engine on a machine whose every
+/// partition is built at construction.
+pub fn run_eager_build(scenario: &Scenario) -> Result<RunCapture, String> {
+    let config = scenario.config();
+    run_capture(
+        Engine::new(config.queue),
+        &config,
+        scenario.batch(),
+        &scenario.arrivals,
+        Build::Eager,
     )
 }
 
@@ -299,6 +333,44 @@ fn compare_flit_reference(scenario: &Scenario, capture: &RunCapture) -> Result<(
     Ok(())
 }
 
+/// Hold the on-demand machine to one built whole at construction: the
+/// same event history and, bit for bit, the same response times,
+/// makespan, events processed, counters and machine statistics (the
+/// per-node utilization vector and the f64 means included, compared
+/// through their `Debug` text, which round-trips every f64).
+fn compare_eager_build(scenario: &Scenario, capture: &RunCapture) -> Result<(), Divergence> {
+    let eager = run_eager_build(scenario)
+        .map_err(|e| diverge(scenario, "eager-build run failed", e))?;
+    let observables = |c: &RunCapture| {
+        [
+            format!("{:?}", c.response_times),
+            format!("{:?}", c.makespan),
+            format!("{}", c.events),
+            format!("{:?}", c.counters),
+            format!("{:?}", c.stats),
+        ]
+    };
+    let names = ["response-time", "makespan", "events-processed", "counter", "machine-stats"];
+    let pairs = observables(capture).into_iter().zip(observables(&eager));
+    for (what, (lazy, reference)) in names.iter().zip(pairs) {
+        if lazy != reference {
+            return Err(diverge(
+                scenario,
+                &format!("on-demand build {what} divergence from the eager build"),
+                format!("on demand {lazy}\neager     {reference}"),
+            ));
+        }
+    }
+    if capture.trace != eager.trace {
+        return Err(diverge(
+            scenario,
+            "on-demand build event-history divergence from the eager build",
+            format!("{} vs {} events traced", capture.trace.len(), eager.trace.len()),
+        ));
+    }
+    Ok(())
+}
+
 /// Re-run a `shards > 1` scenario through the conservative-parallel
 /// runner — twice, so a thread-interleaving nondeterminism shows up as a
 /// fingerprint mismatch between the two passes — and demand the
@@ -365,10 +437,10 @@ fn compare_sharded(scenario: &Scenario, capture: &RunCapture) -> Result<(), Dive
 
 /// Run one scenario through both engines and assert bit-identical
 /// behavior: event order, per-job response times, makespan, machine
-/// counters, and events-processed accounting. Wormhole scenarios must
-/// also match the flit reference path on everything but the event
-/// history. Scenarios drawn with
-/// `shards > 1` additionally run through the conservative-parallel
+/// counters, and events-processed accounting. Every scenario must match
+/// its run on an eagerly built machine, and wormhole scenarios the flit
+/// reference path on everything but the event history. Scenarios drawn
+/// with `shards > 1` additionally run through the conservative-parallel
 /// runner (twice) and must reproduce the same observables. Returns the
 /// (shared) capture on success for further invariant checking.
 pub fn run_differential(scenario: &Scenario) -> Result<RunCapture, Divergence> {
@@ -412,6 +484,7 @@ pub fn run_differential(scenario: &Scenario) -> Result<RunCapture, Divergence> {
     // Conservation is an absolute law, not a relative one: both engines
     // agreeing on leaked flits would pass every comparison above.
     crate::invariants::check_flit_conservation(&opt.counters);
+    compare_eager_build(scenario, &opt)?;
     compare_flit_reference(scenario, &opt)?;
     compare_sharded(scenario, &opt)?;
     Ok(opt)

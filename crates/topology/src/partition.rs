@@ -155,17 +155,16 @@ impl PartitionPlan {
         if !system_size.is_multiple_of(partition_size) {
             return Err(PlanError::NotDivisible { system_size, partition_size });
         }
-        let count = system_size / partition_size;
-        let mut partitions = Vec::with_capacity(count);
-        for id in 0..count {
-            let topology = build::by_kind(kind, partition_size)
-                .map_err(|_| PlanError::Unrealizable { partition_size, kind })?;
-            partitions.push(Partition {
+        // Every partition has the same shape: build it once and share it.
+        let topology = build::by_kind(kind, partition_size)
+            .map_err(|_| PlanError::Unrealizable { partition_size, kind })?;
+        let partitions = (0..system_size / partition_size)
+            .map(|id| Partition {
                 id,
                 base: id * partition_size,
-                topology,
-            });
-        }
+                topology: topology.clone(),
+            })
+            .collect();
         Ok(PartitionPlan {
             system_size,
             partition_size,
@@ -281,6 +280,15 @@ mod tests {
             assert_eq!(p.size(), 4);
             assert_eq!(p.topology.kind(), TopologyKind::Ring);
         }
+    }
+
+    #[test]
+    fn every_partition_shares_one_shape() {
+        let plan = PartitionPlan::equal(64, 16, TopologyKind::Torus { rows: 0, cols: 0 }).unwrap();
+        let shape = &plan.partitions[0].topology;
+        assert_eq!(shape.kind(), TopologyKind::Torus { rows: 4, cols: 4 });
+        assert!(plan.partitions.iter().all(|p| p.topology.same_shape(shape)));
+        assert!(plan.sub_plan(1..3).partitions.iter().all(|p| p.topology.same_shape(shape)));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Core graph types for interconnection networks.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Largest node count any builder will accept: `NodeId` is a `u32`, and the
 /// error contract promises that requesting more than `u32::MAX` nodes fails
@@ -233,11 +234,12 @@ impl fmt::Display for TopologyKind {
 }
 
 /// An undirected interconnection network over `n` nodes, stored as sorted
-/// adjacency lists. Immutable once built.
+/// adjacency lists. Immutable once built, so clones share the adjacency:
+/// a clone is O(1), and every partition of a plan holds the one shape.
 #[derive(Debug, Clone)]
 pub struct Topology {
     kind: TopologyKind,
-    adj: Vec<Vec<NodeId>>,
+    adj: Arc<[Vec<NodeId>]>,
 }
 
 impl Topology {
@@ -269,7 +271,13 @@ impl Topology {
                 );
             }
         }
-        Topology { kind, adj }
+        Topology { kind, adj: adj.into() }
+    }
+
+    /// True when `other` is the same network: the same kind and adjacency.
+    /// Clones of one topology answer without comparing the lists.
+    pub fn same_shape(&self, other: &Topology) -> bool {
+        self.kind == other.kind && (Arc::ptr_eq(&self.adj, &other.adj) || self.adj == other.adj)
     }
 
     /// The shape this network was built as.
@@ -377,6 +385,23 @@ mod tests {
         assert!(!t.adjacent(NodeId(0), NodeId(2)));
         assert_eq!(t.max_degree(), 2);
         assert!(t.is_connected());
+    }
+
+    #[test]
+    fn same_shape_compares_kind_and_adjacency() {
+        let t = path3();
+        assert!(t.same_shape(&t.clone()));
+        assert!(t.same_shape(&path3()), "separately built, same graph");
+        let ring = Topology::from_adjacency(
+            TopologyKind::Ring,
+            vec![vec![NodeId(1)], vec![NodeId(0), NodeId(2)], vec![NodeId(1)]],
+        );
+        assert!(!t.same_shape(&ring), "same graph, different kind");
+        let star = Topology::from_adjacency(
+            TopologyKind::Linear,
+            vec![vec![NodeId(1), NodeId(2)], vec![NodeId(0)], vec![NodeId(0)]],
+        );
+        assert!(!t.same_shape(&star), "same kind, different graph");
     }
 
     #[test]
