@@ -432,11 +432,7 @@ impl Driver {
 
     /// Apply the leader's grants, seeding each admission into the shard's
     /// engine at the grant instant. Must run before the engine resumes.
-    pub fn apply_grants(
-        &mut self,
-        grants: &[CoordGrant],
-        seeder: &mut impl parsched_des::EventSeeder<Event>,
-    ) {
+    pub fn apply_grants(&mut self, grants: &[CoordGrant], sched: &mut impl EventScheduler<Event>) {
         for &g in grants {
             match g {
                 CoordGrant::Release { global_idx } => {
@@ -497,8 +493,8 @@ impl Driver {
                         .as_mut()
                         .expect("coordinated runs carry load floors")[li] = floor;
                     let job = self.admit_body(local_part, li, time);
-                    seeder.seed(time, Event::Admit { job });
-                    self.retune_quantum(local_part);
+                    sched.schedule_at(time, Event::Admit { job });
+                    self.retune_quantum(local_part, sched);
                 }
             }
         }
@@ -625,7 +621,7 @@ impl Driver {
     fn admit_to(&mut self, part: usize, idx: usize, now: SimTime, sched: &mut impl EventScheduler<Event>) {
         let job = self.admit_body(part, idx, now);
         sched.schedule_now(Event::Admit { job });
-        self.retune_quantum(part);
+        self.retune_quantum(part, sched);
     }
 
     /// The state mutations of an admission (shared by [`Self::admit_to`]
@@ -663,7 +659,7 @@ impl Driver {
     /// process's quantum never reschedules a slice already under way — the
     /// new value takes effect at its next dispatch — so this is pure state
     /// and replays bit-identically on any engine.
-    fn retune_quantum(&mut self, part: usize) {
+    fn retune_quantum(&mut self, part: usize, sched: &mut impl EventScheduler<Event>) {
         let Discipline::DynamicQuantum { base } = self.discipline else {
             return;
         };
@@ -676,14 +672,14 @@ impl Driver {
         }
         let mut total: u128 = 0;
         for &id in &members {
-            let rem = self.machine.job_remaining(id);
+            let rem = self.machine.job_remaining(id, sched);
             let width = self.machine.job(id).proc_keys.len().max(1) as u64;
             total += (rem.nanos() / width) as u128;
         }
         let mean = (total / members.len() as u128) as u64;
         let q = SimDuration::from_nanos(mean.max(base.nanos()));
         for id in members {
-            self.machine.set_job_quantum(id, q);
+            self.machine.set_job_quantum(id, q, sched);
         }
     }
 
@@ -781,7 +777,7 @@ impl Driver {
                 self.assigned[part].retain(|&i| i != idx);
                 self.drop_from_gang(part, idx, now, sched);
                 self.on_departure(idx, now);
-                self.retune_quantum(part);
+                self.retune_quantum(part, sched);
                 // Partition scheduler: begin loading the next queued job
                 // into the freed assignment slot, and start any staged job
                 // that is already resident. (The liveness check only bites
@@ -817,7 +813,7 @@ impl Driver {
                 self.entries[idx].partition = None;
                 self.assigned[part].retain(|&i| i != idx);
                 self.drop_from_gang(part, idx, now, sched);
-                self.retune_quantum(part);
+                self.retune_quantum(part, sched);
                 if self.entries[idx].failures > self.max_requeues {
                     // Budget exhausted: abandon terminally. The machine
                     // already dropped and accounted the dead incarnation's
@@ -1062,9 +1058,21 @@ impl Model for Driver {
             return;
         }
         self.machine.handle(now, event, sched);
-        for note in self.machine.drain_notes() {
-            self.on_note(note, now, sched);
+        // Acting on a note can raise more (a start emits `JobLoaded`):
+        // serve them all at this instant, not at whatever event comes next.
+        loop {
+            let notes = self.machine.drain_notes();
+            if notes.is_empty() {
+                break;
+            }
+            for note in notes {
+                self.on_note(note, now, sched);
+            }
         }
+    }
+
+    fn run_ended(&mut self, sched: &mut impl EventScheduler<Event>) {
+        self.machine.run_ended(sched);
     }
 }
 

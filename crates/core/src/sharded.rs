@@ -883,7 +883,7 @@ fn run_coordinated(
                         c.horizon,
                     )
                 };
-                driver.apply_grants(&my_grants, engine);
+                engine.between_runs(|sched| driver.apply_grants(&my_grants, sched));
                 let outcome = if may_run {
                     Some(engine.run_until(driver, horizon))
                 } else {

@@ -53,6 +53,7 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod order;
 pub mod queue;
 pub mod rng;
 pub mod shard;
@@ -65,6 +66,7 @@ pub mod prelude {
     pub use crate::engine::{
         Engine, EventScheduler, EventSeeder, Model, QueueKind, RunOutcome, Scheduler, TimerHandle,
     };
+    pub use crate::order::{Cursor, Key};
     pub use crate::queue::{BinaryHeapQueue, Scheduled};
     pub use crate::shard::{Lookahead, ShardCtx, ShardModel, ShardTiming, ShardedEngine, Solo};
     pub use crate::rng::DetRng;

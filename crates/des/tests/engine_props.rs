@@ -400,3 +400,254 @@ fn zero_delay_schedule_is_the_now_queue_bypass() {
         "zero-delay events do not advance time"
     );
 }
+
+// ---------------------------------------------------------------------
+// Ordering primitives: cursor, explicit (virtual) keys, the pass log.
+// ---------------------------------------------------------------------
+
+/// The naive keyed pending set: `(key, id, is_timer)`, searched linearly,
+/// with real keys issued by a plain counter.
+#[derive(Default)]
+struct KeyedReference {
+    pending: Vec<(Key, u64, bool)>,
+    issued: u64,
+    /// Every handled event's key with the count issued before it.
+    handled: Vec<(Key, u64)>,
+}
+
+impl KeyedReference {
+    fn push_real(&mut self, time: u64, id: u64, timer: bool) {
+        self.pending.push((Key::real(SimTime(time), self.issued), id, timer));
+        self.issued += 1;
+    }
+
+    fn pop(&mut self) -> Option<(Key, u64)> {
+        let (i, _) = self.pending.iter().enumerate().min_by_key(|(_, e)| e.0)?;
+        let (key, id, _) = self.pending.swap_remove(i);
+        self.handled.push((key, self.issued));
+        Some((key, id))
+    }
+
+    fn cancel(&mut self, id: u64) -> bool {
+        match self.pending.iter().position(|e| e.1 == id && e.2) {
+            Some(i) => {
+                self.pending.swap_remove(i);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Brute force: the count issued before the first handled key after
+    /// `key`, or the count so far.
+    fn issued_passing(&self, key: Key) -> u64 {
+        self.handled
+            .iter()
+            .find(|&&(k, _)| k > key)
+            .map_or(self.issued, |&(_, n)| n)
+    }
+}
+
+/// Random schedule, cancel and explicit-key calls, checked after every
+/// event against [`KeyedReference`]: fire order and keys, the cursor,
+/// cancel results, and `issued_passing` for keys around every handled
+/// instant.
+struct KeyedScript {
+    rng: DetRng,
+    reference: KeyedReference,
+    handles: Vec<(TimerHandle, u64)>,
+    next_id: u64,
+    budget: u32,
+    lane: u32,
+    case: u64,
+}
+
+impl KeyedScript {
+    fn fresh_id(&mut self) -> u64 {
+        self.next_id += 1;
+        self.next_id
+    }
+
+    /// A past or present instant the log covers, or a nearby future one.
+    fn probe(&mut self, now: u64) -> Key {
+        let t = SimTime(self.rng.uniform_u64(0, now + 3));
+        match self.rng.uniform_u64(0, 4) {
+            0 => Key::first_at(t),
+            1 => Key::last_at(t),
+            2 => Key::virtual_at(t, self.rng.uniform_u64(0, self.reference.issued + 1), 0),
+            _ => match self.reference.handled.len() {
+                0 => Key::first_at(t),
+                n => self.reference.handled[self.rng.uniform_u64(0, n as u64) as usize].0,
+            },
+        }
+    }
+}
+
+impl Model for KeyedScript {
+    type Event = u64;
+
+    fn handle(&mut self, now: SimTime, id: u64, sched: &mut impl EventScheduler<u64>) {
+        let case = self.case;
+        let (key, want) = self.reference.pop().expect("reference has the event");
+        assert_eq!(id, want, "case {case}: fire order");
+        let cursor = sched.cursor().expect("the engine has a cursor");
+        assert_eq!(cursor.key, key, "case {case}: cursor key");
+        assert_eq!(cursor.issued, self.reference.issued, "case {case}: issued");
+        if self.reference.handled.len() == 1 {
+            sched.keep_log_from(Some(SimTime::ZERO));
+        }
+        for _ in 0..4 {
+            let probe = self.probe(now.nanos());
+            assert_eq!(
+                sched.issued_passing(probe),
+                self.reference.issued_passing(probe),
+                "case {case}: issued when passing {probe:?}"
+            );
+        }
+        if self.budget == 0 {
+            return;
+        }
+        self.budget -= 1;
+        for _ in 0..self.rng.uniform_u64(0, 5) {
+            let d = match self.rng.uniform_u64(0, 3) {
+                0 => 0,
+                _ => self.rng.uniform_u64(0, 6),
+            };
+            let at = now.nanos() + d;
+            match self.rng.uniform_u64(0, 8) {
+                0 | 1 => {
+                    let id = self.fresh_id();
+                    sched.schedule_at(SimTime(at), id);
+                    self.reference.push_real(at, id, false);
+                }
+                2 | 3 => {
+                    let id = self.fresh_id();
+                    let h = sched.schedule_timer_at(SimTime(at), id);
+                    self.reference.push_real(at, id, true);
+                    self.handles.push((h, id));
+                }
+                4 | 5 => {
+                    // A virtual key in any gap, strictly after this event.
+                    let gap = self.rng.uniform_u64(0, self.reference.issued + 1);
+                    self.lane += 1;
+                    let k = Key::virtual_at(SimTime(at), gap, self.lane);
+                    if k <= key {
+                        continue;
+                    }
+                    let id = self.fresh_id();
+                    let h = sched.schedule_timer_at_key(k, id);
+                    self.reference.pending.push((k, id, true));
+                    self.handles.push((h, id));
+                }
+                _ => {
+                    if self.handles.is_empty() {
+                        continue;
+                    }
+                    let k = self.rng.uniform_u64(0, self.handles.len() as u64) as usize;
+                    let (h, id) = self.handles[k];
+                    assert_eq!(
+                        sched.cancel_timer(h),
+                        self.reference.cancel(id),
+                        "case {case}: cancel of {id}"
+                    );
+                }
+            }
+        }
+        let next = self.reference.pending.iter().map(|e| e.0).min();
+        assert_eq!(sched.next_pending(), next, "case {case}: next pending");
+    }
+}
+
+#[test]
+fn explicit_keys_and_the_pass_log_match_the_reference() {
+    let root = DetRng::new(0x0DE5);
+    for case in 0..200u64 {
+        let mut rng = root.substream_idx("keyed-vs-reference", case);
+        let budget = rng.uniform_u64(1, 200) as u32;
+        let mut model = KeyedScript {
+            rng,
+            reference: KeyedReference::default(),
+            handles: Vec::new(),
+            next_id: 0,
+            budget,
+            lane: 0,
+            case,
+        };
+        let mut engine = Engine::new(QueueKind::BinaryHeap);
+        for _ in 0..model.rng.uniform_u64(1, 4) {
+            let (t, id) = (model.rng.uniform_u64(0, 20), model.fresh_id());
+            engine.seed(SimTime(t), id);
+            model.reference.push_real(t, id, false);
+        }
+        assert_eq!(engine.run(&mut model), RunOutcome::Drained, "case {case}");
+        assert!(model.reference.pending.is_empty(), "case {case}");
+    }
+}
+
+/// Schedules a fixed pseudo-random web of real events, and optionally a
+/// virtual-key timer beside each one; records the real events' order.
+struct Web {
+    rng: DetRng,
+    budget: u32,
+    virtuals: bool,
+    lane: u32,
+    next_id: u64,
+    fired: Vec<(u64, u64)>,
+}
+
+impl Model for Web {
+    type Event = (u64, bool);
+
+    fn handle(
+        &mut self,
+        now: SimTime,
+        (id, virt): (u64, bool),
+        sched: &mut impl EventScheduler<(u64, bool)>,
+    ) {
+        if virt {
+            return;
+        }
+        self.fired.push((now.nanos(), id));
+        if self.budget == 0 {
+            return;
+        }
+        self.budget -= 1;
+        // The real calls draw from the rng identically in both modes.
+        for _ in 0..self.rng.uniform_u64(0, 4) {
+            let at = now + SimDuration::from_nanos(self.rng.uniform_u64(0, 3));
+            let gap = self.rng.uniform_u64(0, 1 + sched.cursor().expect("cursor").issued);
+            self.next_id += 1;
+            sched.schedule_at(at, (self.next_id, false));
+            if self.virtuals {
+                self.lane += 1;
+                let v = Key::virtual_at(at, gap, self.lane);
+                if v > sched.cursor().expect("cursor").key {
+                    sched.schedule_timer_at_key(v, (0, true));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn virtual_keys_leave_the_real_order_unchanged() {
+    let root = DetRng::new(0x5EA1);
+    for case in 0..100u64 {
+        let fired = |virtuals| {
+            let mut model = Web {
+                rng: root.substream_idx("web", case),
+                budget: 150,
+                virtuals,
+                lane: 0,
+                next_id: 2,
+                fired: Vec::new(),
+            };
+            let mut engine = Engine::new(QueueKind::BinaryHeap);
+            engine.seed(SimTime(0), (1, false));
+            engine.seed(SimTime(0), (2, false));
+            assert_eq!(engine.run(&mut model), RunOutcome::Drained);
+            model.fired
+        };
+        assert_eq!(fired(false), fired(true), "case {case}");
+    }
+}

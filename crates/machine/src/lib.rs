@@ -50,6 +50,7 @@ pub mod memory;
 pub mod net;
 pub mod process;
 pub mod program;
+pub mod rotation;
 pub mod stats;
 pub mod system;
 pub mod timeline;
@@ -64,6 +65,7 @@ pub mod prelude {
     pub use crate::memory::AllocPolicy;
     pub use crate::process::{JobId, PState, ProcKey};
     pub use crate::program::{JobSpec, Op, ProcSpec, Rank, Tag};
+    pub use crate::rotation::{CpuExpressStats, DeclineReason, SettleReason};
     pub use crate::stats::{JobSummary, MachineStats};
     pub use crate::system::{Counters, Event, JobState, Machine, Note};
     pub use crate::timeline::{Span, SpanKind, Timeline};

@@ -12,6 +12,13 @@
 //! closed-form timers, so event histories differ, but response times,
 //! makespan, [`Counters`] and [`MachineStats`] must not.
 //!
+//! Every scenario also runs on the slice reference path
+//! ([`run_slice_reference`]): the CPU express path replaces a node's
+//! round-robin slices between interrupts with one closed-form window, so
+//! event histories differ, but response times, makespan, events processed
+//! (replayed slices count), [`Counters`] and [`MachineStats`] (its f64
+//! fields bit for bit) must not.
+//!
 //! Every scenario also runs on a machine built whole at construction
 //! ([`run_eager_build`]) against the optimized run's machine, which builds
 //! partitions as jobs and faults reach them. Building late must change
@@ -27,7 +34,8 @@ use crate::scenario::Scenario;
 use parsched_core::{run_batch_sharded, Driver, ExperimentConfig};
 use parsched_des::{Engine, EventScheduler, EventSeeder, Model, RunOutcome, SimDuration, SimTime};
 use parsched_machine::{
-    Counters, Event, ExpressStats, JobSpec, Machine, MachineStats, Switching, SystemNet,
+    Counters, CpuExpressStats, Event, ExpressStats, JobSpec, Machine, MachineStats, Switching,
+    SystemNet,
 };
 use std::path::PathBuf;
 
@@ -66,6 +74,10 @@ where
         self.trace.push((now, event.clone()));
         self.inner.handle(now, event, sched);
     }
+
+    fn run_ended(&mut self, sched: &mut impl EventScheduler<Self::Event>) {
+        self.inner.run_ended(sched);
+    }
 }
 
 /// Everything one run produces that the other run must reproduce exactly.
@@ -85,6 +97,8 @@ pub struct RunCapture {
     pub stats: MachineStats,
     /// Which path each worm took (all zero off wormhole switching).
     pub express: ExpressStats,
+    /// How the CPUs used the express path.
+    pub cpu_express: CpuExpressStats,
 }
 
 /// The engine surface the harness needs, implemented by both engines so
@@ -134,6 +148,8 @@ enum Build {
     Production,
     /// Every worm on the flit reference path.
     FlitReference,
+    /// Every slice on the slice reference path.
+    SliceReference,
     /// Every partition built at construction ([`Machine::build_all`]).
     Eager,
 }
@@ -149,6 +165,7 @@ fn run_capture<Eng: DiffEngine<Event>>(
     let net = SystemNet::from_plan(&plan);
     let mut machine = Machine::new(config.machine.clone(), net);
     machine.set_flit_reference(build == Build::FlitReference);
+    machine.set_slice_reference(build == Build::SliceReference);
     if build == Build::Eager {
         machine.build_all();
     }
@@ -186,6 +203,7 @@ fn run_capture<Eng: DiffEngine<Event>>(
         events: engine.events_processed(),
         stats: MachineStats::capture(&driver.machine, engine.now()),
         express: driver.machine.wormhole().map(|wh| wh.stats).unwrap_or_default(),
+        cpu_express: driver.machine.cpu_express_stats(),
     })
 }
 
@@ -223,6 +241,19 @@ pub fn run_flit_reference(scenario: &Scenario) -> Result<RunCapture, String> {
         scenario.batch(),
         &scenario.arrivals,
         Build::FlitReference,
+    )
+}
+
+/// Run `scenario` under the optimized engine with every slice on the
+/// slice reference path.
+pub fn run_slice_reference(scenario: &Scenario) -> Result<RunCapture, String> {
+    let config = scenario.config();
+    run_capture(
+        Engine::new(config.queue),
+        &config,
+        scenario.batch(),
+        &scenario.arrivals,
+        Build::SliceReference,
     )
 }
 
@@ -300,33 +331,64 @@ fn compare_traces(
     Ok(())
 }
 
-/// Hold a wormhole scenario's express-path run to the flit reference:
-/// identical response times, makespan, counters and machine statistics,
-/// the f64 utilization fields included, bit for bit (compared through
-/// their `Debug` text, which round-trips every f64). Event histories may
-/// differ: skipping flit ticks is the point of the express path.
+/// Hold a wormhole scenario's express-path run to the flit reference.
+/// Events processed differ: skipping flit ticks is the point of the
+/// express path.
 fn compare_flit_reference(scenario: &Scenario, capture: &RunCapture) -> Result<(), Divergence> {
     if scenario.switching != Switching::Wormhole {
         return Ok(());
     }
     let flit = run_flit_reference(scenario)
         .map_err(|e| diverge(scenario, "flit reference run failed", e))?;
+    compare_paths(scenario, capture, &flit, "express-path", "flit reference", false)
+        .map_err(|mut d| {
+            d.detail = format!("{}\n({})", d.detail, capture.express);
+            d
+        })
+}
+
+/// Hold a scenario's CPU express run to the slice reference, events
+/// processed included (replayed slices count).
+fn compare_slice_reference(scenario: &Scenario, capture: &RunCapture) -> Result<(), Divergence> {
+    let slices = run_slice_reference(scenario)
+        .map_err(|e| diverge(scenario, "slice reference run failed", e))?;
+    compare_paths(scenario, capture, &slices, "CPU express", "slice reference", true)
+        .map_err(|mut d| {
+            d.detail = format!("{}\n({})", d.detail, capture.cpu_express);
+            d
+        })
+}
+
+/// Hold a fast path's run to its reference path's: identical response
+/// times, makespan, counters and machine statistics, the f64 utilization
+/// fields included, bit for bit (compared through their `Debug` text,
+/// which round-trips every f64), and events processed when `events` is
+/// set. Event histories differ by design.
+fn compare_paths(
+    scenario: &Scenario,
+    fast: &RunCapture,
+    reference: &RunCapture,
+    fast_name: &str,
+    reference_name: &str,
+    events: bool,
+) -> Result<(), Divergence> {
     let observables = |c: &RunCapture| {
         [
             format!("{:?}", c.response_times),
             format!("{:?}", c.makespan),
+            if events { format!("{}", c.events) } else { String::new() },
             format!("{:?}", c.counters),
             format!("{:?}", c.stats),
         ]
     };
-    let names = ["response-time", "makespan", "counter", "machine-stats"];
-    let pairs = observables(capture).into_iter().zip(observables(&flit));
-    for (what, (express, reference)) in names.iter().zip(pairs) {
-        if express != reference {
+    let names = ["response-time", "makespan", "events-processed", "counter", "machine-stats"];
+    let pairs = observables(fast).into_iter().zip(observables(reference));
+    for (what, (got, want)) in names.iter().zip(pairs) {
+        if got != want {
             return Err(diverge(
                 scenario,
-                &format!("express-path {what} divergence from the flit reference"),
-                format!("express {express}\nflit    {reference}\n({})", capture.express),
+                &format!("{fast_name} {what} divergence from the {reference_name}"),
+                format!("{fast_name} {got}\n{reference_name} {want}"),
             ));
         }
     }
@@ -438,8 +500,9 @@ fn compare_sharded(scenario: &Scenario, capture: &RunCapture) -> Result<(), Dive
 /// Run one scenario through both engines and assert bit-identical
 /// behavior: event order, per-job response times, makespan, machine
 /// counters, and events-processed accounting. Every scenario must match
-/// its run on an eagerly built machine, and wormhole scenarios the flit
-/// reference path on everything but the event history. Scenarios drawn
+/// its run on an eagerly built machine and on the slice reference path,
+/// and wormhole scenarios the flit reference path, the reference paths on
+/// everything but the event history. Scenarios drawn
 /// with `shards > 1` additionally run through the conservative-parallel
 /// runner (twice) and must reproduce the same observables. Returns the
 /// (shared) capture on success for further invariant checking.
@@ -486,6 +549,7 @@ pub fn run_differential(scenario: &Scenario) -> Result<RunCapture, Divergence> {
     crate::invariants::check_flit_conservation(&opt.counters);
     compare_eager_build(scenario, &opt)?;
     compare_flit_reference(scenario, &opt)?;
+    compare_slice_reference(scenario, &opt)?;
     compare_sharded(scenario, &opt)?;
     Ok(opt)
 }

@@ -37,8 +37,8 @@ pub mod invariants;
 pub mod scenario;
 
 pub use diff::{
-    dump_repro, run_differential, run_eager_build, run_flit_reference, Divergence, RunCapture,
-    TraceModel,
+    dump_repro, run_differential, run_eager_build, run_flit_reference, run_slice_reference,
+    Divergence, RunCapture, TraceModel,
 };
 pub use engine::OracleEngine;
 pub use scenario::{Order, PolicyClass, Scenario};

@@ -10,15 +10,17 @@
 //!   sweeps, so a failure's printed replay line works verbatim).
 //!
 //! Both sweeps print how many worms took the wormhole express path, were
-//! materialized back into flit state, or ran flit by flit (by reason).
+//! materialized back into flit state, or ran flit by flit (by reason), and
+//! how the CPUs used their express path: windows, slices skipped, settles
+//! and declines by reason, and same-instant ties by which came first.
 //! Under the default seed (and at least the full sweep's 240 cases) the
-//! full sweep also fails if no worm was materialized, so that branch
-//! stays exercised.
+//! full sweep also fails if no worm was materialized or no same-instant
+//! tie went to the other event first, so those branches stay exercised.
 //!
 //! Every failing case panics with a self-contained replay description and
 //! dumps the full report under `target/repro/oracle_case_<n>.txt`.
 
-use parsched_machine::ExpressStats;
+use parsched_machine::{CpuExpressStats, ExpressStats};
 use parsched_oracle::{dump_repro, run_differential, Scenario};
 
 /// Root seed of the sweeps (override with `ORACLE_SEED`, hex or decimal).
@@ -33,8 +35,8 @@ fn env_u64(name: &str) -> Option<u64> {
     Some(parsed.unwrap_or_else(|e| panic!("bad {name}={raw}: {e}")))
 }
 
-/// Run the sweep; returns the summed express-path counts.
-fn sweep(default_cases: u64) -> ExpressStats {
+/// Run the sweep; returns the summed wormhole and CPU express-path counts.
+fn sweep(default_cases: u64) -> (ExpressStats, CpuExpressStats) {
     let seed = env_u64("ORACLE_SEED").unwrap_or(DEFAULT_SEED);
     let cases: Vec<u64> = match env_u64("ORACLE_ONLY_CASE") {
         Some(case) => {
@@ -47,10 +49,14 @@ fn sweep(default_cases: u64) -> ExpressStats {
     };
     let mut divergences = 0u32;
     let mut express = ExpressStats::default();
+    let mut cpu = CpuExpressStats::default();
     for &case in &cases {
         let scenario = Scenario::generate(seed, case);
         match run_differential(&scenario) {
-            Ok(capture) => express.absorb(&capture.express),
+            Ok(capture) => {
+                express.absorb(&capture.express);
+                cpu.absorb(&capture.cpu_express);
+            }
             Err(div) => {
                 divergences += 1;
                 match dump_repro(&scenario, &div) {
@@ -61,13 +67,14 @@ fn sweep(default_cases: u64) -> ExpressStats {
         }
     }
     eprintln!("wormhole worms over {} cases: {express}", cases.len());
+    eprintln!("CPU express over {} cases: {cpu}", cases.len());
     assert_eq!(
         divergences,
         0,
         "{divergences} of {} scenarios diverged from the oracle (see above)",
         cases.len()
     );
-    express
+    (express, cpu)
 }
 
 #[test]
@@ -79,14 +86,16 @@ fn differential_sweep_fast() {
 #[test]
 #[ignore = "long sweep; run via scripts/tier1.sh tier1-full or ORACLE_CASES=N cargo test -- --include-ignored"]
 fn differential_sweep_full() {
-    let express = sweep(240);
-    // The default seed's first 240 cases materialize express worms twice;
+    let (express, cpu) = sweep(240);
+    // The default seed's first 240 cases materialize express worms twice
+    // and meet same-instant ties at CPU window boundaries in both orders;
     // smaller or reseeded sweeps may legitimately see none.
     let default_sweep = env_u64("ORACLE_SEED").is_none_or(|s| s == DEFAULT_SEED)
         && env_u64("ORACLE_ONLY_CASE").is_none()
         && env_u64("ORACLE_CASES").is_none_or(|n| n >= 240);
     if default_sweep {
         assert!(express.materialized > 0, "no express worm was materialized: {express}");
+        assert!(cpu.ties[1] > 0, "no event-first tie was resolved: {cpu}");
     }
 }
 

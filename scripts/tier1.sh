@@ -38,11 +38,16 @@
 #                                failing case prints its replay line and
 #                                dumps the full report under target/repro/.
 #                                Wormhole cases also run on the flit
+#                                reference path and every case on the slice
 #                                reference path; the sweep prints how many
 #                                worms went express, were materialized, or
-#                                ran flit by flit (by reason), and under
-#                                the default seed fails if none was
-#                                materialized.
+#                                ran flit by flit (by reason), and how the
+#                                CPUs used their express path (windows,
+#                                slices skipped, settles and declines by
+#                                reason, same-instant ties by which event
+#                                came first). Under the default seed it
+#                                fails if no worm was materialized or no
+#                                tie went to the other event first.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
