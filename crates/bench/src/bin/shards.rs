@@ -4,17 +4,18 @@
 //! shards [--smoke] [--shards K] [--csv] [--out DIR]
 //! ```
 //!
-//! `--smoke` is the tier-1 gate. One free-mode configuration (four
-//! 16-node hypercube partitions under uncoordinated time-sharing) runs
+//! `--smoke` is the tier-1 gate. One uncoordinated time-sharing
+//! configuration (four 16-node hypercube partitions) runs
 //! sequentially and at 2 shards, and the observables — per-job response
 //! times, makespan, machine counters, events processed — must agree bit
 //! for bit; the 2-shard run then repeats and must fingerprint identically
 //! (no thread-interleaving nondeterminism). Then one K = 2 case per
-//! *coordinated* eligibility class runs on the 1024-node torus cells:
+//! class the leader coordinates runs on the 1024-node torus cells:
 //! static space-sharing, the hybrid MPL-2 discipline, an MPL-capped
 //! static run, and time-sharing under a crash + flaky-link fault plan —
 //! each bit-identical to its sequential run, none falling back. A tiny
-//! 4096-node torus case covers free mode at a larger machine size, a
+//! 4096-node torus case covers uncoordinated time-sharing at a larger
+//! machine size, a
 //! 65 792-node store-and-forward torus (the t64k cell) covers the largest,
 //! a wormhole gate runs one K = 2 flit-switched case per topology family
 //! (torus, fat-tree, dragonfly — the t4k cells), and a gang-scheduled
@@ -30,7 +31,7 @@
 //! when a run fell back to the sequential path — the recorded reason.
 //! A second table breaks each parallel run down per shard (in-thread
 //! machine build and teardown vs. event-loop work vs. barrier wait vs.
-//! cross-shard merge, plus the shard machine's owned and built node
+//! the leader's coordination, plus the shard machine's owned and built node
 //! counts, from `ShardedRunResult::timings`); the work/barrier/merge numbers feed
 //! `ObsEvent::ShardPhase` events into a `MetricsRegistry` gauge so the
 //! breakdown lands in the metrics CSV next to the simulated gauges.
@@ -135,7 +136,7 @@ fn smoke() {
     assert_eq!(par.shards, 2, "eligible configuration must shard");
     assert_eq!(par.fallback, None);
     assert_matches(&seq, &par, "2-shard vs sequential");
-    assert_shards_own_their_partitions(&cfg, &par, "free mode");
+    assert_shards_own_their_partitions(&cfg, &par, "uncoordinated time-sharing");
 
     let again = run_batch_sharded(&cfg, batch.clone(), 2).expect("2-shard rerun completes");
     assert_eq!(
@@ -143,10 +144,12 @@ fn smoke() {
         par.fingerprint(),
         "2-shard rerun: interleaving nondeterminism"
     );
-    println!("shards --smoke: free mode: OK (K=2 bit-identical, deterministic rerun)");
+    println!(
+        "shards --smoke: uncoordinated time-sharing: OK (K=2 bit-identical, deterministic rerun)"
+    );
 
-    // The widened gate: one K = 2 case per coordinated eligibility class,
-    // on the 1024-node cells the perf goldens pin.
+    // One K = 2 case per class the leader coordinates, on the 1024-node
+    // cells the perf goldens pin.
     let (s_cfg, s_batch) = torus1k(Cell1k::Static);
     assert_shards_bit_identically(&s_cfg, &s_batch, "static policy");
 
@@ -174,7 +177,8 @@ fn smoke() {
     assert_shards_bit_identically(&f_cfg, &f_batch, "crash + flaky-link fault plan");
 
     let (t4_cfg, t4_batch) = torus4k();
-    assert_shards_bit_identically(&t4_cfg, &t4_batch, "4096-node torus (free mode)");
+    let what = "4096-node torus (uncoordinated time-sharing)";
+    assert_shards_bit_identically(&t4_cfg, &t4_batch, what);
 
     // The largest store-and-forward cell: 65 792 nodes, where building a
     // whole machine per shard is what sharding used to pay for.
@@ -204,7 +208,7 @@ fn smoke() {
     assert_matches(&gseq, &gfall, "gang fallback vs sequential");
 
     println!(
-        "shards --smoke: OK (free + coordinated classes bit-identical, \
+        "shards --smoke: OK (every eligibility class bit-identical, \
          gang fallback: {:?})",
         gfall.fallback.unwrap()
     );

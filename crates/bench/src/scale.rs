@@ -1,11 +1,11 @@
 //! Large-machine cells shared by the `perf` and `shards` binaries.
 //!
 //! A 1024-node torus (32 x 32, sixteen 64-node partitions) exercises the
-//! coordinated sharding classes at a scale where shard parallelism has
-//! real work to split: one cell per widened eligibility class — static
+//! sharding classes the leader coordinates, at a scale where shard
+//! parallelism has real work to split: one cell per class — static
 //! space-sharing, the hybrid discipline (time-sharing under an MPL cap),
 //! and time-sharing under a two-crash fault plan. A 4096-node torus
-//! (64 x 64) provides a smoke-size free-mode case.
+//! (64 x 64) provides a smoke-size uncoordinated time-sharing case.
 //!
 //! The batch is a synthetic compute-bound fan-out/fan-in job family
 //! rather than the paper's matmul: a 64-wide matmul's replicated B matrix
@@ -108,13 +108,13 @@ pub fn torus1k(cell: Cell1k) -> (ExperimentConfig, Vec<JobSpec>) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cell4k {
     /// 4096 nodes as 64 8x8-torus partitions under static space-sharing
-    /// (coordinated sharding).
+    /// (the leader serves queue pops).
     Torus,
     /// 4160 nodes as 20 `fat_tree(8)` partitions (208 vertices each)
-    /// under the hybrid MPL-2 discipline (coordinated sharding).
+    /// under the hybrid MPL-2 discipline (the leader serves queue pops).
     FatTree,
     /// 4160 nodes as 52 `dragonfly(4, 3, 1)` partitions (80 vertices
-    /// each) under uncapped time-sharing (free-mode sharding).
+    /// each) under uncapped time-sharing (nothing to coordinate).
     Dragonfly,
 }
 
@@ -266,7 +266,7 @@ pub fn tscale(cell: Cell4k, point: ScalePoint, switching: Switching) -> (Experim
 }
 
 /// The 4096-node smoke case: 64 x 64 torus, sixty-four 64-node
-/// partitions, 8 wide jobs under free-mode time-sharing.
+/// partitions, 8 wide jobs under uncoordinated time-sharing.
 pub fn torus4k() -> (ExperimentConfig, Vec<JobSpec>) {
     let cfg = ExperimentConfig {
         system_size: 4096,
@@ -298,14 +298,10 @@ mod tests {
     fn cells_are_coordinated_eligible() {
         for cell in Cell1k::all() {
             let (cfg, _) = torus1k(cell);
-            assert_eq!(
-                shard_eligibility(&cfg),
-                Ok(ShardMode::Coordinated),
-                "{cell:?}"
-            );
+            assert_eq!(shard_eligibility(&cfg), Ok(()), "{cell:?}");
         }
         let (cfg, _) = torus4k();
-        assert_eq!(shard_eligibility(&cfg), Ok(ShardMode::Free));
+        assert_eq!(shard_eligibility(&cfg), Ok(()));
     }
 
     #[test]
@@ -329,11 +325,7 @@ mod tests {
                         assert!(cfg.system_size > 65_536, "{cell:?} stays under 65 536")
                     }
                 }
-                let expected = match cell {
-                    Cell4k::Dragonfly => ShardMode::Free,
-                    _ => ShardMode::Coordinated,
-                };
-                assert_eq!(shard_eligibility(&cfg), Ok(expected), "{cell:?}/{point:?}");
+                assert_eq!(shard_eligibility(&cfg), Ok(()), "{cell:?}/{point:?}");
                 assert!(batch.iter().all(|j| j.width() == 64));
             }
         }
@@ -344,15 +336,7 @@ mod tests {
         for cell in Cell4k::all() {
             for switching in [Switching::Wormhole, Switching::StoreAndForward] {
                 let (cfg, batch) = t4k(cell, switching);
-                let expected = match cell {
-                    Cell4k::Dragonfly => ShardMode::Free,
-                    _ => ShardMode::Coordinated,
-                };
-                assert_eq!(
-                    shard_eligibility(&cfg),
-                    Ok(expected),
-                    "{cell:?}/{switching:?}"
-                );
+                assert_eq!(shard_eligibility(&cfg), Ok(()), "{cell:?}/{switching:?}");
                 assert_eq!(cfg.machine.switching, switching);
                 assert!(cfg.system_size >= 4096, "{cell:?} is not t4k-scale");
                 assert!(batch.iter().all(|j| j.width() == 64));

@@ -11,6 +11,7 @@
 //! * **time-sharing / hybrid** — unbounded MPL (the batch spreads
 //!   equitably), RR-job quanta.
 
+use crate::experiment::ExperimentConfig;
 use crate::policy::{Discipline, Placement, PolicyKind, QuantumRule};
 use parsched_des::{EventScheduler, Model, SimDuration, SimTime};
 
@@ -151,6 +152,13 @@ struct CoordClient {
     specs: Arc<Vec<JobSpec>>,
     /// Global partition id of each local partition, ascending.
     partition_ids: Vec<usize>,
+    /// Global batch index of each local entry: placement staggering reads
+    /// it, so a shard's sub-batch keeps the sequential run's placements.
+    job_indices: Vec<usize>,
+    /// Host-link loader floor of each local entry (see
+    /// `Machine::set_load_floor`): its loader start in the global
+    /// admission order.
+    load_floors: Vec<SimTime>,
     /// Global batch index → local entry index (None = not resident here).
     local_of: Vec<Option<usize>>,
     /// Requests raised since the last [`Driver::take_requests`].
@@ -191,13 +199,6 @@ pub struct Driver {
     /// — any finite per-message timeout below the congested delivery tail
     /// would otherwise requeue the same doomed job forever.
     max_requeues: u32,
-    /// Override of the *global* batch index per entry, used by placement
-    /// staggering. A sharded run hands each shard a sub-batch but must
-    /// keep the placements the sequential run would compute.
-    job_indices: Option<Vec<usize>>,
-    /// Per-entry host-link loader floors (see `Machine::set_load_floor`);
-    /// the sharded runner precomputes the global loader serialization.
-    load_floors: Option<Vec<SimTime>>,
     /// Adaptive re-fork hook: given a failed entry's batch index and the
     /// survivor count of its new partition, produce the spec to rerun
     /// (`None` = rerun the original spec unchanged, the fixed architecture).
@@ -206,8 +207,8 @@ pub struct Driver {
     /// open-system population behind the `machine.in_system` gauge and the
     /// `JobSubmitted`/`JobDeparted` events.
     in_system: u32,
-    /// Coordinated sharded protocol client (`None` = sequential or
-    /// free-running sharded execution; global decisions stay local).
+    /// Sharded protocol client (`None` = sequential execution; global
+    /// decisions stay local).
     coord: Option<CoordClient>,
 }
 
@@ -279,11 +280,26 @@ impl Driver {
             running: vec![0; count],
             by_job: Vec::new(),
             max_requeues: 16,
-            job_indices: None,
-            load_floors: None,
             respawner: None,
             in_system: 0,
             coord: None,
+        }
+    }
+
+    /// A driver for `batch` under `config`'s policy, quantum rule,
+    /// placement, multiprogramming limit and discipline: the one place the
+    /// run entry points build theirs.
+    pub(crate) fn for_config(
+        config: &ExperimentConfig,
+        machine: Machine,
+        plan: PartitionPlan,
+        batch: Vec<JobSpec>,
+    ) -> Driver {
+        let driver = Driver::new(machine, plan, config.policy, config.rule, config.placement, batch)
+            .with_discipline(config.discipline);
+        match config.mpl {
+            Some(mpl) => driver.with_mpl(mpl),
+            None => driver,
         }
     }
 
@@ -319,32 +335,6 @@ impl Driver {
         self
     }
 
-    /// Override the global batch index used for placement staggering, one
-    /// per entry. A sharded run builds each shard's driver over a
-    /// sub-batch; placements (and the paper's staggered/blocked layouts in
-    /// particular) must still be computed from the *global* submission
-    /// index to match the sequential run bit-for-bit.
-    ///
-    /// # Panics
-    /// Panics if the length does not match the batch.
-    pub fn with_job_indices(mut self, indices: Vec<usize>) -> Driver {
-        assert_eq!(indices.len(), self.entries.len(), "one index per job");
-        self.job_indices = Some(indices);
-        self
-    }
-
-    /// Set per-entry host-link loader floors (the job's loader start in
-    /// the global admission order), one per entry. See
-    /// `Machine::set_load_floor`.
-    ///
-    /// # Panics
-    /// Panics if the length does not match the batch.
-    pub fn with_load_floors(mut self, floors: Vec<SimTime>) -> Driver {
-        assert_eq!(floors.len(), self.entries.len(), "one floor per job");
-        self.load_floors = Some(floors);
-        self
-    }
-
     /// Install an adaptive re-fork hook: when a fault-killed job is
     /// requeued, the hook receives its batch index and the survivor count
     /// of the partition it is being re-admitted to, and may return a
@@ -371,40 +361,41 @@ impl Driver {
         self
     }
 
-    /// Enroll this driver in the coordinated sharded protocol (see
-    /// `core::sharded`): global super-scheduler decisions — FCFS-queue pops
-    /// and fault requeues — are raised as [`CoordRequest`]s (pausing the
-    /// engine) instead of being taken locally, and the leader's
-    /// [`CoordGrant`]s apply them.
+    /// Enroll this driver, one shard of a sharded run, in the sharded
+    /// protocol (see `core::sharded`): global super-scheduler decisions —
+    /// FCFS-queue pops and fault requeues — are raised as
+    /// [`CoordRequest`]s (pausing the engine) instead of being taken
+    /// locally, and the leader's [`CoordGrant`]s apply them.
     ///
-    /// `partition_ids` maps each local partition to its global id;
-    /// `deferred` marks the local entries the coordinator holds in the
-    /// global queue (their arrival only registers them). Requires
-    /// [`Driver::with_job_indices`] first.
+    /// `partition_ids` maps each local partition to its global id.
+    /// `members` gives each local entry's global batch index and its
+    /// host-link loader floor, or `None` for an entry the coordinator
+    /// holds in the global queue: its arrival only registers it, and the
+    /// grant that admits it brings its floor.
+    ///
+    /// # Panics
+    /// Panics if `partition_ids` does not match the plan or `members` the
+    /// batch.
     pub fn with_coordination(
         mut self,
         queue_active: Arc<AtomicBool>,
         specs: Arc<Vec<JobSpec>>,
         partition_ids: Vec<usize>,
-        deferred: Vec<bool>,
+        members: &[(usize, Option<SimTime>)],
     ) -> Driver {
         assert_eq!(partition_ids.len(), self.plan.count(), "one global id per partition");
-        assert_eq!(deferred.len(), self.entries.len(), "one deferral flag per entry");
-        let indices = self
-            .job_indices
-            .as_ref()
-            .expect("with_job_indices must precede with_coordination");
+        assert_eq!(members.len(), self.entries.len(), "one member per entry");
         let mut local_of = vec![None; specs.len()];
-        for (li, &g) in indices.iter().enumerate() {
+        for (li, &(g, floor)) in members.iter().enumerate() {
             local_of[g] = Some(li);
-        }
-        for (e, d) in self.entries.iter_mut().zip(deferred) {
-            e.deferred = d;
+            self.entries[li].deferred = floor.is_none();
         }
         self.coord = Some(CoordClient {
             queue_active,
             specs,
             partition_ids,
+            job_indices: members.iter().map(|&(g, _)| g).collect(),
+            load_floors: members.iter().map(|&(_, f)| f.unwrap_or(SimTime::ZERO)).collect(),
             local_of,
             requests: Vec::new(),
         });
@@ -447,20 +438,22 @@ impl Driver {
                     self.in_system -= 1;
                 }
                 CoordGrant::Admit { time, global_idx, part, floor, failures } => {
-                    let c = self.coord.as_ref().expect("grants require coordination");
+                    let c = self.coord.as_mut().expect("grants require coordination");
                     let local_part = c
                         .partition_ids
                         .iter()
                         .position(|&gp| gp == part)
                         .expect("admit grant for a partition this shard does not own");
                     let li = match c.local_of[global_idx] {
-                        Some(li) => li,
+                        Some(li) => {
+                            c.load_floors[li] = floor;
+                            li
+                        }
                         None => {
                             // Migration: materialize the entry here from the
                             // shared batch. Closed-batch arrival (t = 0) and
                             // the failure count carry over; the original
                             // owner gets a matching `Release`.
-                            let c = self.coord.as_mut().expect("checked");
                             let li = self.entries.len();
                             self.entries.push(Entry {
                                 spec: c.specs[global_idx].clone(),
@@ -475,23 +468,14 @@ impl Driver {
                                 released: false,
                             });
                             c.local_of[global_idx] = Some(li);
-                            self.job_indices
-                                .as_mut()
-                                .expect("coordinated runs carry job indices")
-                                .push(global_idx);
-                            self.load_floors
-                                .as_mut()
-                                .expect("coordinated runs carry load floors")
-                                .push(SimTime::ZERO);
+                            c.job_indices.push(global_idx);
+                            c.load_floors.push(floor);
                             self.in_system += 1;
                             li
                         }
                     };
                     debug_assert_eq!(self.entries[li].failures, failures);
                     self.entries[li].deferred = false;
-                    self.load_floors
-                        .as_mut()
-                        .expect("coordinated runs carry load floors")[li] = floor;
                     let job = self.admit_body(local_part, li, time);
                     sched.schedule_at(time, Event::Admit { job });
                     self.retune_quantum(local_part, sched);
@@ -703,11 +687,11 @@ impl Driver {
             (PolicyKind::TimeSharing, Discipline::DynamicQuantum { base }) => base,
             (PolicyKind::TimeSharing, _) => self.rule.quantum(alive.len(), width),
         };
-        let global_idx = self.job_indices.as_ref().map_or(idx, |v| v[idx]);
+        let global_idx = self.coord.as_ref().map_or(idx, |c| c.job_indices[idx]);
         let placement = self.placement.assign_nodes(&alive, width, global_idx);
         let job = self.machine.queue_job_with(spec, placement, quantum, false);
-        if let Some(floors) = &self.load_floors {
-            self.machine.set_load_floor(job, floors[idx]);
+        if let Some(c) = &self.coord {
+            self.machine.set_load_floor(job, c.load_floors[idx]);
         }
         debug_assert_eq!(self.by_job.len(), job.idx(), "job ids must be dense");
         self.by_job.push(idx);
@@ -827,15 +811,11 @@ impl Driver {
                     // Coordinated sharded run: the re-placement target is a
                     // global least-loaded choice only the leader can make.
                     // Raise the request and pause at this instant.
-                    let g = self
-                        .job_indices
-                        .as_ref()
-                        .expect("coordinated runs carry job indices")[idx];
                     let failures = self.entries[idx].failures;
                     let c = self.coord.as_mut().expect("checked");
                     c.requests.push(CoordRequest::Requeue {
                         time: now,
-                        global_idx: g,
+                        global_idx: c.job_indices[idx],
                         from_part: c.partition_ids[part],
                         failures,
                     });
@@ -898,7 +878,7 @@ impl Driver {
     /// `(global batch index, response time)` for every entry this shard
     /// owns at the end of a run — coordinated runs migrate entries between
     /// shards, and the owner at completion reports. Sequential drivers
-    /// (no [`Driver::with_job_indices`]) report local indices.
+    /// (no [`Driver::with_coordination`]) report local indices.
     ///
     /// # Panics
     /// Panics if an owned entry has not finished.
@@ -908,7 +888,7 @@ impl Driver {
             .enumerate()
             .filter(|(_, e)| !e.released)
             .map(|(i, e)| {
-                let g = self.job_indices.as_ref().map_or(i, |v| v[i]);
+                let g = self.coord.as_ref().map_or(i, |c| c.job_indices[i]);
                 let done = e.finished.expect("owned_responses before completion");
                 (g, done.since(e.arrival))
             })

@@ -250,18 +250,7 @@ fn execute(
         machine.recorder = Some(Box::new(CollectRecorder::new()));
         machine.metrics = Some(Box::new(MachineMetrics::new(machine.net(), machine.t0())));
     }
-    let mut driver = Driver::new(
-        machine,
-        plan,
-        config.policy,
-        config.rule,
-        config.placement,
-        batch,
-    );
-    if let Some(mpl) = config.mpl {
-        driver = driver.with_mpl(mpl);
-    }
-    driver = driver.with_discipline(config.discipline);
+    let mut driver = Driver::for_config(config, machine, plan, batch);
     if !arrivals.is_empty() {
         driver = driver.with_arrivals(arrivals);
     }

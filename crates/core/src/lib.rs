@@ -59,7 +59,7 @@ pub mod prelude {
     pub use crate::report::{metrics_table, FigureRow, FigureTable};
     pub use crate::runner::run_parallel;
     pub use crate::sharded::{
-        default_shards, run_batch_sharded, shard_eligibility, ShardMode, ShardedRunResult,
+        default_shards, run_batch_sharded, shard_eligibility, ShardTiming, ShardedRunResult,
     };
 }
 

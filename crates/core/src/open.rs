@@ -286,12 +286,7 @@ pub fn run_open_stream(
         .map(|(i, &d)| synthetic_job(format!("open{i}"), d, &config.params, &cost))
         .collect();
     let machine = Machine::new(cfg.machine.clone(), SystemNet::from_plan(&plan));
-    let mut driver = Driver::new(machine, plan, cfg.policy, cfg.rule, cfg.placement, batch)
-        .with_discipline(cfg.discipline)
-        .with_arrivals(times.clone());
-    if let Some(mpl) = cfg.mpl {
-        driver = driver.with_mpl(mpl);
-    }
+    let mut driver = Driver::for_config(cfg, machine, plan, batch).with_arrivals(times.clone());
     let mut engine: Engine<Event> = Engine::new(cfg.queue);
     engine.max_events = cfg.machine.max_events;
     if let StopRule::Horizon(t) = config.stop {

@@ -1,39 +1,44 @@
 //! Sharded conservative-parallel run execution.
 //!
 //! The paper's machine wires each partition as its own closed interconnect
-//! (the C004 crossbar links partitions only through the host), so the
-//! partitions evolve independently once the *global* super-scheduler
-//! decisions — admission order, host-link load serialization, queue pops,
-//! fault requeues — are accounted for. [`run_batch_sharded`] cuts the
-//! partition plan into `K` contiguous shards ([`ShardPlan`]). Each shard
-//! builds, runs and drops its own [`Machine`] + [`Driver`] on its own
-//! thread, and that machine covers only the shard's partitions, renumbered
-//! from processor 0 ([`SystemNet::for_partitions`],
-//! [`PartitionPlan::sub_plan`]). The run picks one of two execution modes
-//! ([`shard_eligibility`]):
+//! (the C004 crossbar links partitions only through the host), so no event
+//! ever crosses from one partition to another: the partitions evolve
+//! independently once the *global* super-scheduler decisions — admission
+//! order, host-link load serialization, queue pops, fault requeues — are
+//! accounted for. [`run_batch_sharded`] cuts the partition plan into `K`
+//! contiguous shards ([`ShardPlan`]). Each shard builds, runs and drops its
+//! own [`Machine`] + [`Driver`] on its own thread, and that machine covers
+//! only the shard's partitions, renumbered from processor 0
+//! ([`SystemNet::for_partitions`], [`PartitionPlan::sub_plan`]).
 //!
-//! * **free** ([`ShardMode::Free`]) — uncoordinated time-sharing of a
-//!   closed batch under an unbounded MPL with no faults. Every global
-//!   coupling is precomputable: admission degenerates to round-robin
-//!   (job `i` lands on partition `i mod P`, kept exact by
-//!   [`Driver::with_job_indices`]) and the host-link serialization is a
-//!   prefix sum ([`Driver::with_load_floors`]). No channel joins two
-//!   partitions, so the shards are independent: each runs its engine to
-//!   the end with no runtime coordination at all.
-//! * **coordinated** ([`ShardMode::Coordinated`]) — static and hybrid
-//!   (finite-MPL) policies, whose global FCFS queue pops on completions,
-//!   and fault plans, whose requeues re-place jobs across partitions.
-//!   The queue/requeue decisions cannot be precomputed, but they are rare
-//!   and *pausable*: a shard that hits one pauses its engine at the exact
-//!   instant ([`parsched_des::engine::EventScheduler::request_pause`]),
-//!   raises a [`CoordRequest`], and a leader serves requests across shards
-//!   in the sequential order — global `(time, partition)` — handing back
-//!   [`CoordGrant`]s that seed the admission into the paused engine.
-//!   Fault plans are split along shard boundaries
+//! One runner serves every eligible configuration ([`shard_eligibility`]):
+//!
+//! * **Precomputed admission.** The sequential t = 0 admission fills every
+//!   partition up to its execution + prefetch capacity round-robin (job
+//!   `i` lands on partition `i mod P`) and its loads serialize on the host
+//!   link in submission order, so each prefilled job's shard, global index
+//!   and load floor are known up front ([`Driver::with_coordination`]).
+//!   The rest of the batch waits in a global FCFS queue.
+//! * **Leader rounds.** Shards run in rounds between two barriers. A
+//!   decision no shard can take alone — a queue pop under the static
+//!   policy or a bounded MPL, a fault requeue — pauses the deciding
+//!   shard's engine at the exact instant
+//!   ([`parsched_des::engine::EventScheduler::request_pause`]) and raises
+//!   a [`CoordRequest`]. Between the barriers shard 0, the leader, serves
+//!   requests across shards in the sequential order — global
+//!   `(time, partition)` — handing back [`CoordGrant`]s that seed the
+//!   admission into the paused engine. Declared crashes are wakeups every
+//!   shard pauses at, and fault plans are split along shard boundaries
 //!   ([`parsched_machine::FaultPlan::slice_for_range`]) so each declared
 //!   fault is seeded exactly once, by its owner.
 //!
-//! Both modes reproduce the sequential run's observables — per-job
+//! Uncoordinated time-sharing of a fault-free batch has nothing to
+//! coordinate: the whole batch is prefilled, the queue is never active,
+//! there is no wakeup and the horizon is `SimTime::MAX`, so every shard
+//! runs its engine to the end in the first round and the leader finishes
+//! the run.
+//!
+//! A sharded run reproduces the sequential run's observables — per-job
 //! response times, makespan, machine counters, events processed — *bit
 //! for bit*; the differential oracle sweeps assert exactly that. The few
 //! configurations whose global order is not locally derivable (gang
@@ -44,7 +49,7 @@
 use crate::driver::{CoordGrant, CoordRequest, Driver};
 use crate::experiment::{ExperimentConfig, RunError};
 use crate::policy::{Discipline, PolicyKind};
-use parsched_des::{Engine, RunOutcome, ShardTiming, SimDuration, SimTime, Summary};
+use parsched_des::{Engine, RunOutcome, SimDuration, SimTime, Summary};
 use parsched_machine::{Counters, Event, JobSpec, Machine, SystemNet};
 use parsched_topology::{PartitionPlan, ShardPlan};
 use std::collections::VecDeque;
@@ -72,10 +77,37 @@ pub struct ShardedRunResult {
     /// Why the run fell back to the sequential path, when it did.
     pub fallback: Option<&'static str>,
     /// Wall-clock phase breakdown per shard (simulation work vs. barrier
-    /// waits vs. cross-shard merge/coordination). Empty on the sequential
+    /// waits vs. the leader's coordination). Empty on the sequential
     /// path. Host timing, not simulation state: excluded from
     /// [`ShardedRunResult::fingerprint`].
     pub timings: Vec<ShardTiming>,
+}
+
+/// Wall-clock breakdown of one shard thread's run, for diagnosing where a
+/// sharded run spends its time: building and tearing down its machine
+/// (`build_ns`), simulating (`work_ns`), waiting at the round barriers
+/// (`barrier_ns`), or coordinating as the leader (`merge_ns`), plus the
+/// size of the machine the shard simulated (`nodes`) and how much of it
+/// the shard's run built (`built_nodes`). Wall-clock and shape only — it
+/// never feeds a simulated result or a fingerprint.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardTiming {
+    /// Time spent in the shard's own part of each round: applying grants,
+    /// running its engine to the horizon and publishing its report.
+    pub work_ns: u64,
+    /// Time spent waiting at the two barriers of each round.
+    pub barrier_ns: u64,
+    /// Time spent in the leader's round (serving requests, advancing the
+    /// horizon, deciding termination): shard 0's; 0 on every other shard.
+    pub merge_ns: u64,
+    /// Time spent building the shard's driver and engine on its own
+    /// thread, and dropping them there at the end.
+    pub build_ns: u64,
+    /// Processors in the shard's machine.
+    pub nodes: usize,
+    /// Processors whose state the shard's run built by the end: the
+    /// partitions its jobs and faults reached.
+    pub built_nodes: usize,
 }
 
 fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
@@ -108,20 +140,8 @@ impl ShardedRunResult {
     }
 }
 
-/// How an eligible configuration executes when sharded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardMode {
-    /// No runtime coordination: every global coupling is precomputed
-    /// (uncoordinated time-sharing, unbounded MPL, fault-free).
-    Free,
-    /// Barrier-round coordination: shards pause at global scheduler
-    /// decisions (FCFS-queue pops, fault requeues) and a leader serves
-    /// them in the sequential order.
-    Coordinated,
-}
-
-/// Can `config` run sharded, and in which mode? `Err` names the global
-/// coupling that forces the sequential path:
+/// Can `config` run sharded? `Err` names the global coupling that forces
+/// the sequential path:
 ///
 /// * gang scheduling's rotation ticks synchronize a partition's jobs on a
 ///   schedule the pause protocol cannot reproduce;
@@ -129,16 +149,16 @@ pub enum ShardMode {
 ///   in an order that is not locally derivable;
 /// * a crash at t = 0 would have to precede the arrival admissions it must
 ///   follow;
-/// * coordinated grants seed admissions into a paused engine, which is
-///   only safe when the job's load lands strictly later
-///   (`job_load_latency > 0`);
+/// * grants seed admissions into a paused engine, which is only safe when
+///   the job's load lands strictly later (`job_load_latency > 0`); a run
+///   that can raise no request (no queue, no faults) is exempt;
 /// * a single partition cannot be cut (shards respect partition
 ///   granularity — one partition shares one interconnect and one queue).
 ///
 /// Open arrivals are rejected at the entry point ([`run_batch_sharded`]
 /// takes a closed batch); an arrival-time admission also depends on the
 /// global load picture.
-pub fn shard_eligibility(config: &ExperimentConfig) -> Result<ShardMode, &'static str> {
+pub fn shard_eligibility(config: &ExperimentConfig) -> Result<(), &'static str> {
     eligibility(config, config.try_plan().ok().as_ref())
 }
 
@@ -148,7 +168,7 @@ pub fn shard_eligibility(config: &ExperimentConfig) -> Result<ShardMode, &'stati
 fn eligibility(
     config: &ExperimentConfig,
     plan: Option<&PartitionPlan>,
-) -> Result<ShardMode, &'static str> {
+) -> Result<(), &'static str> {
     if matches!(config.discipline, Discipline::Gang { .. }) {
         return Err("gang scheduling: rotation ticks couple partitions");
     }
@@ -164,8 +184,8 @@ fn eligibility(
             return Err("a crash at t = 0 would precede the arrivals it must follow");
         }
     }
-    let coordinated = queued || !faults.is_empty();
-    if coordinated && config.machine.job_load_latency == SimDuration::ZERO {
+    let requests = queued || !faults.is_empty();
+    if requests && config.machine.job_load_latency == SimDuration::ZERO {
         return Err("zero-latency job loads: a granted admission would race same-instant starts");
     }
     match plan {
@@ -173,11 +193,7 @@ fn eligibility(
         Some(plan) if plan.count() < 2 => {
             Err("single partition: shards cannot cut below partition granularity")
         }
-        Some(_) => Ok(if coordinated {
-            ShardMode::Coordinated
-        } else {
-            ShardMode::Free
-        }),
+        Some(_) => Ok(()),
     }
 }
 
@@ -200,18 +216,7 @@ fn run_sequential(
     fallback: Option<&'static str>,
 ) -> Result<ShardedRunResult, RunError> {
     let machine = Machine::new(config.machine.clone(), SystemNet::from_plan(&plan));
-    let mut driver = Driver::new(
-        machine,
-        plan,
-        config.policy,
-        config.rule,
-        config.placement,
-        batch,
-    );
-    if let Some(mpl) = config.mpl {
-        driver = driver.with_mpl(mpl);
-    }
-    driver = driver.with_discipline(config.discipline);
+    let mut driver = Driver::for_config(config, machine, plan, batch);
     let mut engine: Engine<Event> = Engine::new(config.queue);
     engine.max_events = config.machine.max_events;
     driver.start(&mut engine);
@@ -251,37 +256,33 @@ pub fn run_batch_sharded(
     if shards <= 1 {
         return run_sequential(config, plan, batch, None);
     }
-    let mode = match eligibility(config, Some(&plan)) {
-        Ok(mode) => mode,
-        Err(reason) => return run_sequential(config, plan, batch, Some(reason)),
-    };
+    if let Err(reason) = eligibility(config, Some(&plan)) {
+        return run_sequential(config, plan, batch, Some(reason));
+    }
     let shard_plan = ShardPlan::contiguous(plan.count(), shards);
     debug_assert!(
         shard_plan.shards >= 2,
         "eligibility guarantees at least two partitions"
     );
-    match mode {
-        ShardMode::Free => run_free(config, batch, &plan, &shard_plan),
-        ShardMode::Coordinated => run_coordinated(config, batch, plan, &shard_plan),
-    }
+    run_coordinated(config, batch, plan, &shard_plan)
 }
 
 /// Build shard `s`'s driver over a machine of only the partitions it owns,
 /// renumbered from 0 — the sub-network ([`SystemNet::for_partitions`]),
-/// the matching sub-plan and the shard's slice of the fault plan. The
-/// driver schedules `members` (global batch indices) with their host-link
-/// load `floors`. Everything that depends on the whole machine's
-/// numbering is fixed here, at construction: placement staggering reads
-/// the global batch index, and the drop lottery the machine-wide channel
-/// index (`SystemNet::channel_base`).
+/// the matching sub-plan and the shard's slice of the fault plan — and
+/// enroll it in the leader protocol with its `members` (global batch
+/// index and load floor, `None` while queued). Everything that depends on
+/// the whole machine's numbering is fixed here, at construction:
+/// placement staggering reads the global batch index, and the drop
+/// lottery the machine-wide channel index (`SystemNet::channel_base`).
 fn build_shard(
     config: &ExperimentConfig,
     plan: &PartitionPlan,
     shard_plan: &ShardPlan,
     s: usize,
-    batch: &[JobSpec],
-    members: &[usize],
-    floors: Vec<SimTime>,
+    specs: &Arc<Vec<JobSpec>>,
+    members: &[(usize, Option<SimTime>)],
+    queue_active: &Arc<AtomicBool>,
 ) -> Driver {
     let parts = shard_plan.range_of(s);
     let nodes = plan.node_range(parts.clone());
@@ -292,21 +293,13 @@ fn build_shard(
         .faults
         .slice_for_range(id(nodes.start)..id(nodes.end));
     let machine = Machine::new(mc, SystemNet::for_partitions(plan, parts.clone()));
-    let mut driver = Driver::new(
-        machine,
-        plan.sub_plan(parts),
-        config.policy,
-        config.rule,
-        config.placement,
-        members.iter().map(|&i| batch[i].clone()).collect(),
-    );
-    if let Some(m) = config.mpl {
-        driver = driver.with_mpl(m);
-    }
-    driver
-        .with_discipline(config.discipline)
-        .with_job_indices(members.to_vec())
-        .with_load_floors(floors)
+    let batch = members.iter().map(|&(i, _)| specs[i].clone()).collect();
+    Driver::for_config(config, machine, plan.sub_plan(parts), batch).with_coordination(
+        queue_active.clone(),
+        specs.clone(),
+        shard_plan.partitions_of(s),
+        members,
+    )
 }
 
 /// Build a shard on the calling (shard) thread: `build` makes the driver,
@@ -380,15 +373,10 @@ fn in_shard_threads<T: Send>(k: usize, body: impl Fn(usize) -> T + Sync) -> Vec<
 
 /// Merge the shards' outputs into the run's observables: responses by
 /// global batch index, counters and events summed, the latest clock as the
-/// makespan. A run that did not drain (`outcome`), or a shard that left
-/// work unfinished, is an error carrying every unfinished shard's
-/// diagnosis.
-fn merge(
-    outs: Vec<ShardOut>,
-    n: usize,
-    outcome: RunOutcome,
-) -> Result<ShardedRunResult, RunError> {
-    if outcome != RunOutcome::Drained || outs.iter().any(|o| o.unfinished.is_some()) {
+/// makespan. A shard that left work unfinished makes the run an error
+/// carrying every unfinished shard's diagnosis.
+fn merge(outs: Vec<ShardOut>, n: usize) -> Result<ShardedRunResult, RunError> {
+    if outs.iter().any(|o| o.unfinished.is_some()) {
         let mut diagnosis = String::new();
         for (s, out) in outs.iter().enumerate() {
             if let Some(d) = &out.unfinished {
@@ -396,7 +384,7 @@ fn merge(
             }
         }
         return Err(RunError {
-            outcome: Some(outcome),
+            outcome: Some(RunOutcome::Drained),
             diagnosis,
         });
     }
@@ -432,57 +420,6 @@ fn merge(
     })
 }
 
-/// The free mode: precomputed admission + load floors and no runtime
-/// coordination. Shards own whole partitions and partitions are wired
-/// closed ([`SystemNet::for_partitions`] never joins two of them), so the
-/// shards are independent: each one builds its machine, runs its engine
-/// to the end and drops the machine, all on its own thread.
-fn run_free(
-    config: &ExperimentConfig,
-    batch: Vec<JobSpec>,
-    plan: &PartitionPlan,
-    shard_plan: &ShardPlan,
-) -> Result<ShardedRunResult, RunError> {
-    let p = plan.count();
-    let k = shard_plan.shards;
-
-    // Host-link serialization: job i's load starts once loads 0..i are
-    // done (all arrive at t = 0 and admission is immediate, so the
-    // sequential loader grants in submission order).
-    let mut floors = Vec::with_capacity(batch.len());
-    let mut at = 0u64;
-    for spec in &batch {
-        floors.push(SimTime(at));
-        at += config.machine.load_duration(spec.effective_ship_bytes()).nanos();
-    }
-
-    // Round-robin admission: job i lands on partition i mod P, hence on
-    // the shard owning that partition.
-    let mut members_of: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for i in 0..batch.len() {
-        members_of[shard_plan.shard_of(i % p)].push(i);
-    }
-
-    let runs = in_shard_threads(k, |s| {
-        let members = &members_of[s];
-        let (mut driver, mut engine, mut timing) = start_shard(config, || {
-            let own_floors = members.iter().map(|&i| floors[i]).collect();
-            build_shard(config, plan, shard_plan, s, &batch, members, own_floors)
-        });
-        let t = Instant::now();
-        let outcome = engine.run(&mut driver);
-        timing.work_ns = t.elapsed().as_nanos() as u64;
-        (outcome, ShardOut::finish(driver, engine, timing))
-    });
-
-    let outcome = runs
-        .iter()
-        .map(|(o, _)| *o)
-        .find(|&o| o != RunOutcome::Drained)
-        .unwrap_or(RunOutcome::Drained);
-    merge(runs.into_iter().map(|(_, o)| o).collect(), batch.len(), outcome)
-}
-
 /// What one shard publishes to the leader at the end of each round.
 #[derive(Debug, Clone, Default)]
 struct Report {
@@ -502,7 +439,7 @@ struct Report {
 struct Ctrl {
     /// Current run horizon: the next wakeup instant (shards pause there so
     /// requeue grants always target clocks at the same instant), `MAX`
-    /// once exhausted — and from the start, for fault-free queued runs.
+    /// once exhausted — and from the start, for fault-free runs.
     horizon: SimTime,
     /// Per-shard requests raised and not yet served. All requests of one
     /// shard share one instant (the shard pauses at its first decision).
@@ -750,7 +687,7 @@ fn leader_round(
     }
 }
 
-/// The coordinated mode: shards pause at global scheduler decisions and a
+/// The sharded runner: shards pause at global scheduler decisions and a
 /// barrier-round leader serves them in the sequential global order.
 fn run_coordinated(
     config: &ExperimentConfig,
@@ -764,9 +701,9 @@ fn run_coordinated(
 
     // The sequential t = 0 admission fills every partition up to its
     // execution + prefetch capacity round-robin (job i → partition
-    // i mod P) and queues the rest FCFS. The prefilled prefix is
-    // precomputable exactly like the free mode; the leftovers defer to
-    // the leader's queue.
+    // i mod P) and queues the rest FCFS. The prefilled prefix (the whole
+    // batch under an unbounded MPL) is precomputable; the leftovers defer
+    // to the leader's queue.
     let mpl = config.mpl.unwrap_or(match config.policy {
         PolicyKind::Static => 1,
         PolicyKind::TimeSharing => usize::MAX,
@@ -787,29 +724,25 @@ fn run_coordinated(
         }
     }
 
-    // Host-link serialization of the prefilled loads; the leader's clock
+    // Host-link serialization of the prefilled loads: job i's load starts
+    // once loads 0..i are done. Prefilled jobs live with the shard owning
+    // their partition, with that floor; deferred jobs register their
+    // arrival on shard 0 and migrate on admission. The leader's clock
     // picks up where the prefix chain ends and floors every granted
     // admission after it.
-    let mut floors = Vec::with_capacity(prefill);
+    let mut members_of: Vec<Vec<(usize, Option<SimTime>)>> = vec![Vec::new(); k];
     let mut exposed = std::collections::BTreeSet::new();
     let mut at = 0u64;
     for (i, spec) in batch[..prefill].iter().enumerate() {
-        floors.push(SimTime(at));
+        members_of[shard_plan.shard_of(i % p)].push((i, Some(SimTime(at))));
         at += config.machine.load_duration(spec.effective_ship_bytes()).nanos();
         if min_crash[i % p] <= SimTime(at) {
             exposed.insert(SimTime(at));
         }
     }
+    members_of[0].extend((prefill..n).map(|i| (i, None)));
 
-    // Prefilled jobs live with the shard owning their partition; deferred
-    // jobs register their arrival on shard 0 and migrate on admission.
-    let mut members_of: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for i in 0..prefill {
-        members_of[shard_plan.shard_of(i % p)].push(i);
-    }
-    members_of[0].extend(prefill..n);
-
-    let specs: Arc<Vec<JobSpec>> = Arc::new(batch.clone());
+    let specs = Arc::new(batch);
     let queue_active = Arc::new(AtomicBool::new(prefill < n));
 
     let mut crash_times: Vec<SimTime> =
@@ -835,37 +768,29 @@ fn run_coordinated(
     let grants: Vec<Mutex<Vec<CoordGrant>>> = (0..k).map(|_| Mutex::new(Vec::new())).collect();
     let barrier = Barrier::new(k);
     let panic_box: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
+    // Keep a shard's panic payload for the caller and abort the run. The
+    // panicking shard keeps meeting the barriers with nothing to run.
+    let aborted_by = |payload, why| {
+        lk(&panic_box).get_or_insert(payload);
+        let mut c = lk(&ctrl);
+        c.abort.get_or_insert(why);
+        c.finished = true;
+    };
 
     // Each shard builds its driver on its own thread before its first
     // round. No shard reads another's state before the first barrier, so
     // this leaves the protocol unchanged; a panic while building takes the
-    // same abort path as one while running (the shard keeps meeting the
-    // barriers with nothing to run).
+    // same abort path as one while running.
     let shard_results: Vec<Option<ShardOut>> = in_shard_threads(k, |s| {
         let built = catch_unwind(AssertUnwindSafe(|| {
             start_shard(config, || {
-                let members = &members_of[s];
-                let deferred = members.iter().map(|&i| i >= prefill).collect();
-                let own_floors = members
-                    .iter()
-                    .map(|&i| floors.get(i).copied().unwrap_or(SimTime::ZERO))
-                    .collect();
-                build_shard(config, &plan, shard_plan, s, &batch, members, own_floors)
-                    .with_coordination(
-                        queue_active.clone(),
-                        specs.clone(),
-                        shard_plan.partitions_of(s),
-                        deferred,
-                    )
+                build_shard(config, &plan, shard_plan, s, &specs, &members_of[s], &queue_active)
             })
         }));
         let (mut shard, mut timing) = match built {
             Ok((driver, engine, timing)) => (Some((driver, engine)), timing),
             Err(payload) => {
-                lk(&panic_box).get_or_insert(payload);
-                let mut c = lk(&ctrl);
-                c.abort.get_or_insert("a shard thread panicked");
-                c.finished = true;
+                aborted_by(payload, "a shard thread panicked");
                 (None, ShardTiming::default())
             }
         };
@@ -902,10 +827,10 @@ fn run_coordinated(
                 };
             }));
             if let Err(payload) = round {
-                lk(&panic_box).get_or_insert(payload);
-                let mut c = lk(&ctrl);
-                c.abort.get_or_insert("a shard thread panicked");
-                c.finished = true;
+                // The shard's state is broken mid-event: drop it rather
+                // than summarize it.
+                shard = None;
+                aborted_by(payload, "a shard thread panicked");
             }
             timing.work_ns += t_work.elapsed().as_nanos() as u64;
             let t_bar = Instant::now();
@@ -926,10 +851,7 @@ fn run_coordinated(
                     );
                 }));
                 if let Err(payload) = led {
-                    lk(&panic_box).get_or_insert(payload);
-                    let mut c = lk(&ctrl);
-                    c.abort.get_or_insert("the coordination leader panicked");
-                    c.finished = true;
+                    aborted_by(payload, "the coordination leader panicked");
                 }
                 timing.merge_ns += t_merge.elapsed().as_nanos() as u64;
             }
@@ -947,11 +869,12 @@ fn run_coordinated(
         resume_unwind(payload);
     }
     if let Some(reason) = lk(&ctrl).abort {
-        return run_sequential(config, plan, batch, Some(reason));
+        // Every shard dropped its driver, so the batch is usually ours
+        // alone again and comes back without a copy.
+        return run_sequential(config, plan, Arc::unwrap_or_clone(specs), Some(reason));
     }
-    // A shard that failed to build panicked, and that panic resumed above.
-    let outs = shard_results.into_iter().flatten().collect();
-    merge(outs, n, RunOutcome::Drained)
+    // A shard that panicked resumed its panic above.
+    merge(shard_results.into_iter().flatten().collect(), n)
 }
 
 #[cfg(test)]
@@ -961,7 +884,7 @@ mod tests {
     use parsched_topology::TopologyKind;
 
     /// 16 nodes in 4-node hypercube partitions under uncoordinated
-    /// time-sharing: the free sharding shape.
+    /// time-sharing: a sharded run with nothing to coordinate.
     fn eligible_config() -> ExperimentConfig {
         ExperimentConfig::paper(
             4,
@@ -1039,16 +962,16 @@ mod tests {
 
     #[test]
     fn eligibility_gate_names_each_coupling() {
-        assert_eq!(shard_eligibility(&eligible_config()), Ok(ShardMode::Free));
+        assert_eq!(shard_eligibility(&eligible_config()), Ok(()));
 
-        // The widened gate: queued policies and fault plans coordinate.
+        // Queued policies and fault plans shard too, through the leader.
         let mut c = eligible_config();
         c.policy = PolicyKind::Static;
-        assert_eq!(shard_eligibility(&c), Ok(ShardMode::Coordinated));
+        assert_eq!(shard_eligibility(&c), Ok(()));
 
         let mut c = eligible_config();
         c.mpl = Some(2);
-        assert_eq!(shard_eligibility(&c), Ok(ShardMode::Coordinated));
+        assert_eq!(shard_eligibility(&c), Ok(()));
 
         let mut c = eligible_config();
         c.machine.faults = FaultPlan {
@@ -1058,7 +981,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        assert_eq!(shard_eligibility(&c), Ok(ShardMode::Coordinated));
+        assert_eq!(shard_eligibility(&c), Ok(()));
 
         // Still sequential, each with its reason on record.
         let mut c = eligible_config();
@@ -1270,6 +1193,69 @@ mod tests {
             let again = run_batch_sharded(&config, batch.clone(), 4).unwrap();
             assert_eq!(again.fingerprint(), first.fingerprint());
         }
+    }
+
+    /// A job whose memory cannot fit panics in `queue_job_with` when its
+    /// shard admits it, on the leader (job 0, partition 0) or on shard 1
+    /// (job 2, partition 2). The caller must get that panic's payload once
+    /// every shard has joined: no hang at a barrier, and no sequential
+    /// rerun, which would panic again on the caller's own thread and name
+    /// the job's global node rather than the shard's local one.
+    #[test]
+    fn shard_panics_reach_the_caller_without_deadlock() {
+        use std::sync::atomic::AtomicUsize;
+        use std::time::Duration;
+        const CALLER: &str = "sharded-panic-caller";
+        static CALLER_PANICS: AtomicUsize = AtomicUsize::new(0);
+        // `resume_unwind` skips the hook, so only a fresh panic on the
+        // caller's thread counts. The hook is process-wide: it chains to
+        // the previous one and counts only the uniquely named caller, so
+        // tests running beside this one are unaffected.
+        let prev = Arc::new(std::panic::take_hook());
+        let chained = prev.clone();
+        std::panic::set_hook(Box::new(move |info| {
+            if std::thread::current().name() == Some(CALLER) {
+                CALLER_PANICS.fetch_add(1, Ordering::SeqCst);
+            }
+            chained(info);
+        }));
+        let mut outcomes = Vec::new();
+        for (job, node) in [(0, 0), (2, 0)] {
+            let mut batch = chatty_batch(4);
+            batch[job].procs[0].mem_bytes = 64 << 20;
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::Builder::new()
+                .name(CALLER.into())
+                .spawn(move || {
+                    let run = catch_unwind(AssertUnwindSafe(|| {
+                        run_batch_sharded(&eligible_config(), batch, 2)
+                    }));
+                    let message = run.err().map(|payload| {
+                        payload
+                            .downcast_ref::<String>()
+                            .cloned()
+                            .unwrap_or_default()
+                    });
+                    tx.send(message).expect("the test waits for the caller");
+                })
+                .expect("spawn the caller");
+            let message = rx.recv_timeout(Duration::from_secs(60));
+            outcomes.push((job, node, message));
+        }
+        let _ = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| prev(info)));
+        for (job, node, message) in outcomes {
+            let message = message
+                .unwrap_or_else(|_| panic!("job {job}: the sharded run hung"))
+                .unwrap_or_else(|| panic!("job {job}: the sharded run did not panic"));
+            let want = format!("job 'chat{job}' needs {} B on node {node} but", 64 << 20);
+            assert!(message.contains(&want), "job {job}: {message}");
+        }
+        assert_eq!(
+            CALLER_PANICS.load(Ordering::SeqCst),
+            0,
+            "the run panicked again on the caller's thread"
+        );
     }
 
     #[test]

@@ -98,68 +98,43 @@ pub trait EventScheduler<E> {
 
     /// Ask the engine to stop after the current event's handler returns
     /// ([`RunOutcome::Paused`]). A model uses this when it cannot proceed
-    /// without information the engine does not have — the coordinated
-    /// sharded runner's global-queue admissions — and the caller resolves
+    /// without information the engine does not have — the sharded
+    /// runner's global-queue admissions — and the caller resolves
     /// the dependency before resuming. Engines without pause support (the
     /// oracle's reference engine) ignore the request.
     fn request_pause(&mut self) {}
 
     /// Where the run stands: the handled event's key and the number of
-    /// events issued so far. `None` from an engine without the ordering
-    /// primitives below, which a model must then not call.
-    fn cursor(&self) -> Option<Cursor> {
-        None
-    }
+    /// events issued so far.
+    fn cursor(&self) -> Cursor;
 
     /// Key of the earliest pending event (cancelled timers excluded).
-    fn next_pending(&mut self) -> Option<Key> {
-        unsupported()
-    }
+    fn next_pending(&mut self) -> Option<Key>;
 
     /// Events issued when the run passed `key`: the count issued before
     /// the first handled event after `key`, or the count so far if the run
     /// has handled none yet. Answers only for keys at or after the instant
     /// the log is kept from ([`keep_log_from`](Self::keep_log_from)).
-    fn issued_passing(&self, key: Key) -> u64 {
-        let _ = key;
-        unsupported()
-    }
+    fn issued_passing(&self, key: Key) -> u64;
 
     /// Log handled events from instant `floor` on (`None` stops logging).
-    fn keep_log_from(&mut self, floor: Option<SimTime>) {
-        let _ = floor;
-        unsupported()
-    }
+    fn keep_log_from(&mut self, floor: Option<SimTime>);
 
     /// Schedule a cancellable event at an explicit key, which must lie
     /// after the event being handled, not be a real event's key, and not
     /// have been given to any timer before (even a cancelled one). A
     /// virtual key takes no issue index, so no real event's key moves.
-    fn schedule_timer_at_key(&mut self, key: Key, event: E) -> TimerHandle {
-        let _ = (key, event);
-        unsupported()
-    }
+    fn schedule_timer_at_key(&mut self, key: Key, event: E) -> TimerHandle;
 
     /// Relabel the event being handled with a later `key` that still lies
     /// before every pending event, for the cursor and the log.
-    fn rekey_current(&mut self, key: Key) {
-        let _ = key;
-        unsupported()
-    }
+    fn rekey_current(&mut self, key: Key);
 
     /// Adjust the processed-event count by `delta`. A model that replays
     /// events in closed form instead of handling them counts them here
     /// (and takes back any extra event it handled to get there), so the
     /// count is the one a run handling them one by one reports.
-    fn adjust_processed(&mut self, delta: i64) {
-        let _ = delta;
-        unsupported()
-    }
-}
-
-#[cold]
-fn unsupported() -> ! {
-    panic!("this scheduler has no ordering primitives (its cursor() is None)")
+    fn adjust_processed(&mut self, delta: i64);
 }
 
 /// An engine that accepts events seeded from outside a run (the driver's
@@ -243,11 +218,11 @@ impl<E> EventScheduler<E> for Scheduler<'_, E> {
         self.pause = true;
     }
 
-    fn cursor(&self) -> Option<Cursor> {
-        Some(Cursor {
+    fn cursor(&self) -> Cursor {
+        Cursor {
             key: self.current.0,
             issued: self.next_seq,
-        })
+        }
     }
 
     fn next_pending(&mut self) -> Option<Key> {
@@ -652,16 +627,6 @@ impl<E> Engine<E> {
                 return RunOutcome::Paused;
             }
         }
-    }
-
-    /// Timestamp of the earliest pending event across both tiers, or
-    /// `None` when the pending set is empty.
-    ///
-    /// `&mut` because peeking drops cancelled timers from the top of the
-    /// heap; the live pending set is not modified. The sharded engine
-    /// uses this to compute the global window floor.
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
-        self.next_key().map(|(key, _)| SimTime((key >> 64) as u64))
     }
 
     /// Like [`Engine::run`] but stops once simulated time would exceed

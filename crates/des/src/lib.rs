@@ -5,9 +5,8 @@
 //!
 //! The kernel is domain-agnostic: it provides simulated [time](time), the
 //! [event loop](engine) over a now-queue and one [future-event heap](queue)
-//! with lazy timer cancellation, a conservative
-//! [sharded parallel engine](shard) with barrier lookahead windows,
-//! [output statistics](stats),
+//! with lazy timer cancellation, the [ordering primitives](order) a model
+//! uses to place work it defers in closed form, [output statistics](stats),
 //! a [deterministic RNG](rng) with labelled substreams, and a bounded
 //! [trace](trace) buffer. Everything Transputer-specific lives in
 //! `parsched-machine` on top of this crate.
@@ -56,7 +55,6 @@ pub mod engine;
 pub mod order;
 pub mod queue;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -68,7 +66,6 @@ pub mod prelude {
     };
     pub use crate::order::{Cursor, Key};
     pub use crate::queue::{BinaryHeapQueue, Scheduled};
-    pub use crate::shard::{Lookahead, ShardCtx, ShardModel, ShardTiming, ShardedEngine, Solo};
     pub use crate::rng::DetRng;
     pub use crate::stats::{percentile, Histogram, Summary, TimeWeighted, Welford};
     pub use crate::time::{SimDuration, SimTime};

@@ -48,8 +48,6 @@ pub enum DeclineReason {
     Observed,
     /// The machine runs slice by slice ([`Machine::set_slice_reference`]).
     Reference,
-    /// The scheduler lacks the ordering primitives.
-    Unsupported,
     /// Fewer than two slice boundaries fall before the first phase
     /// completion (or a quantum is zero, or the closed form overflows).
     TooShort,
@@ -57,10 +55,9 @@ pub enum DeclineReason {
 
 impl DeclineReason {
     /// Every reason, in [`CpuExpressStats::declined`] order.
-    pub const ALL: [DeclineReason; 4] = [
+    pub const ALL: [DeclineReason; 3] = [
         DeclineReason::Observed,
         DeclineReason::Reference,
-        DeclineReason::Unsupported,
         DeclineReason::TooShort,
     ];
 }
@@ -117,7 +114,7 @@ pub struct CpuExpressStats {
     /// where a natural end meets a pending event at its instant.
     pub ties: [u64; 2],
     /// Slices armed without a window, per [`DeclineReason::ALL`] entry.
-    pub declined: [u64; 4],
+    pub declined: [u64; 3],
 }
 
 impl CpuExpressStats {
@@ -364,9 +361,7 @@ impl Machine {
         if self.cpu_express.reference {
             return Err(DeclineReason::Reference);
         }
-        let Some(cursor) = sched.cursor() else {
-            return Err(DeclineReason::Unsupported);
-        };
+        let cursor = sched.cursor();
         let cpu = &self.nodes[node as usize].cpu;
         let Some(Running { kind: RunKind::Low(p0), work_started: w0, .. }) = cpu.running else {
             unreachable!("arming a low slice with no low process running");
@@ -530,7 +525,7 @@ impl Machine {
         if !self.cpu_express.active(node) {
             return;
         }
-        let point = sched.cursor().expect("express needs a cursor").key;
+        let point = sched.cursor().key;
         self.express_read(node, point, why, sched);
         let w = self.cpu_express.close_window(node, sched);
         let key = w.key(w.applied + 1, sched);
@@ -576,7 +571,7 @@ impl Machine {
             sched.adjust_processed(-1);
             return false;
         }
-        let current = sched.cursor().expect("express needs a cursor").key;
+        let current = sched.cursor().key;
         if key != current {
             sched.rekey_current(key);
         }
@@ -592,7 +587,7 @@ impl Machine {
         if self.cpu_express.open == 0 {
             return;
         }
-        let point = sched.cursor().expect("express needs a cursor").key;
+        let point = sched.cursor().key;
         for node in 0..self.cpu_express.windows.len() as u32 {
             self.express_read(node, point, SettleReason::RunEnd, sched);
         }

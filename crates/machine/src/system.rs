@@ -691,10 +691,11 @@ impl Machine {
     /// being handled first, so the accrued time is the slice-by-slice
     /// value.
     pub fn job_remaining(&mut self, id: JobId, sched: &mut impl EventScheduler<Event>) -> SimDuration {
-        if let Some(cursor) = sched.cursor().filter(|_| self.cpu_express.any_open()) {
+        if self.cpu_express.any_open() {
+            let point = sched.cursor().key;
             for i in 0..self.jobs[id.idx()].placement.len() {
                 let node = self.jobs[id.idx()].placement[i];
-                self.express_read(node, cursor.key, SettleReason::Read, sched);
+                self.express_read(node, point, SettleReason::Read, sched);
             }
         }
         let job = &self.jobs[id.idx()];

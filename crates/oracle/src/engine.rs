@@ -298,11 +298,11 @@ impl<E> EventScheduler<E> for OracleScheduler<'_, E> {
         self.timers.len()
     }
 
-    fn cursor(&self) -> Option<Cursor> {
-        Some(Cursor {
+    fn cursor(&self) -> Cursor {
+        Cursor {
             key: Key(self.current),
             issued: self.next_seq,
-        })
+        }
     }
 
     fn next_pending(&mut self) -> Option<Key> {

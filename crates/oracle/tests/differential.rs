@@ -164,7 +164,7 @@ fn sharded_runs_are_bit_identical_across_shard_counts() {
 /// 2-node partitions, so even K = 8 cuts along real partition boundaries.
 #[test]
 fn coordinated_classes_shard_bit_identically() {
-    use parsched_core::{shard_eligibility, Discipline, Placement, ShardMode};
+    use parsched_core::{shard_eligibility, Discipline, Placement};
     use parsched_des::SimTime;
     use parsched_machine::{FaultPlan, LinkWindow, NodeCrash, Switching};
     use parsched_oracle::{Order, PolicyClass};
@@ -227,8 +227,8 @@ fn coordinated_classes_shard_bit_identically() {
             };
             assert_eq!(
                 shard_eligibility(&scenario.config()),
-                Ok(ShardMode::Coordinated),
-                "{what}: must be coordinated-eligible"
+                Ok(()),
+                "{what}: must be shard-eligible"
             );
             if let Err(div) = run_differential(&scenario) {
                 panic!("{what} at K={shards}: {div}");

@@ -1,15 +1,14 @@
 //! Grouping a [`PartitionPlan`]'s partitions into simulation shards.
 //!
-//! The conservative parallel engine (`parsched-des::shard`) needs the
-//! machine cut into regions that interact as little — and as *slowly* — as
-//! possible: the minimum inter-shard interaction latency becomes the
-//! lookahead window, and partitions are the natural cut. The paper's
-//! machine wires each partition as its own closed interconnect (the C004
-//! crossbar links partitions only through the host), so a partition never
-//! exchanges network traffic with another: shards built from whole
-//! partitions are *independent*, the best possible lookahead, and each
-//! shard can simulate a machine of just its own partitions. A
-//! [`ShardPlan`] records the partition → shard assignment.
+//! The sharded runner (`parsched-core::sharded`) splits one run into
+//! shards that each simulate a machine of their own partitions on their
+//! own thread. Partitions are the natural cut: the paper's machine wires
+//! each partition as its own closed interconnect (the C004 crossbar links
+//! partitions only through the host), so a partition never exchanges
+//! network traffic with another and no event crosses between shards built
+//! from whole partitions. What couples them is the host's
+//! super-scheduler, which the runner's leader serves. A [`ShardPlan`]
+//! records the partition → shard assignment.
 //!
 //! Shards are contiguous runs of partitions with near-equal partition
 //! counts, so the assignment is a pure function of `(partitions, shards)` —

@@ -6,7 +6,7 @@
 # fault-injection smoke gate (one crash and one flaky-link scenario per
 # policy class, run twice with the oracle's invariant checkers on and
 # bit-identical replay asserted), a sharded-execution smoke gate (one
-# K = 2 run per eligibility class — free-mode time-sharing, static,
+# K = 2 run per eligibility class — uncoordinated time-sharing, static,
 # hybrid MPL-2, MPL-capped static, crash + flaky-link fault plan, and a
 # 4096-node torus — each bit-identical to sequential and rerun
 # deterministically, with ineligible configs falling back with a
