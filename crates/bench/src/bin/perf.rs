@@ -42,7 +42,14 @@
 //!   scenarios: plain runs and `--check` skip them unless `--heavy` is
 //!   passed (or `--only` names one explicitly), so the tier-1 gate stays
 //!   fast while the goldens and their shard families remain pinned for
-//!   the full run.
+//!   the full run;
+//! * `open_hc4_{static,ts,dynq}` — an open stream on the paper's 16 nodes
+//!   as four 4-node hypercube partitions: 300 Poisson arrivals at rho 0.7
+//!   of 4-wide jobs with bounded-Pareto demand (200 ms to 100 s), under
+//!   static, time-sharing and dynamic-quantum (2 ms) policies. Arrivals
+//!   outrun the serialized host loader, so a backlog of admitted, unloaded
+//!   jobs builds on every partition: these pin the driver's partition
+//!   bookkeeping, the dynamic quantum and the loader's event stream.
 //!
 //! Results append to `BENCH_parsched.json` (see `parsched_bench::harness`):
 //! `baseline` medians are captured the first time a scenario appears and
@@ -187,6 +194,23 @@ fn run_tscale(cell: Cell4k, point: ScalePoint, switching: Switching, shards: usi
     std::hint::black_box(r.mean_response())
 }
 
+/// One open-stream cell (`open_hc4_*`): the pinned metric is the mean
+/// response over the measured jobs.
+fn run_open_hc4(policy: PolicyKind, discipline: Discipline) -> f64 {
+    let mut exp = ExperimentConfig::paper(4, TopologyKind::Hypercube { dim: 0 }, policy);
+    exp.discipline = discipline;
+    let mut cfg = OpenConfig::new(exp, 20);
+    cfg.demand = DemandSpec::BoundedPareto {
+        alpha: 1.5,
+        lo: SimDuration::from_millis(200),
+        hi: SimDuration::from_secs(100),
+    };
+    cfg.warmup = 20;
+    cfg.stop = StopRule::Completions(280);
+    let r = run_open_system(&cfg, 0.7).expect("open_hc4 cell simulates");
+    std::hint::black_box(r.response.expect("measured jobs finished").mean)
+}
+
 /// Classic hold-model queue benchmark on the future-event heap: fill to
 /// `n`, then `ops` rounds of pop-one push-one with a uniform increment,
 /// which keeps the population steady.
@@ -305,6 +329,21 @@ fn scenarios() -> Vec<Scenario> {
             None
         }),
     ];
+    for (label, policy, discipline) in [
+        ("static", PolicyKind::Static, Discipline::Uncoordinated),
+        ("ts", PolicyKind::TimeSharing, Discipline::Uncoordinated),
+        (
+            "dynq",
+            PolicyKind::TimeSharing,
+            Discipline::DynamicQuantum {
+                base: SimDuration::from_millis(2),
+            },
+        ),
+    ] {
+        v.push(light(&format!("open_hc4_{label}"), true, Some(16), move || {
+            Some(run_open_hc4(policy, discipline))
+        }));
+    }
     for (shards, sfx) in SHARD_COUNTS {
         v.push(Scenario {
             name: format!("shard_scale_{sfx}"),

@@ -34,8 +34,8 @@ struct Entry {
     partition: Option<usize>,
     arrival: SimTime,
     finished: Option<SimTime>,
-    /// The current incarnation is executing (counted in `running`).
-    started: bool,
+    /// Where the current incarnation stands on its partition.
+    stage: Stage,
     /// Times this entry's job was killed by a fault.
     failures: u32,
     /// Terminally given up on after exhausting the requeue budget
@@ -50,6 +50,17 @@ struct Entry {
     released: bool,
 }
 
+/// Where an entry's current incarnation stands on its partition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    /// Not started and not loaded: loading, queued or departed.
+    Loading,
+    /// Loaded and resident, waiting for an execution slot.
+    Ready,
+    /// Executing (listed in [`Part::started`]).
+    Running,
+}
+
 /// Gang-scheduling rotation state for one partition.
 #[derive(Debug, Clone, Default)]
 struct GangState {
@@ -57,6 +68,31 @@ struct GangState {
     rotation: VecDeque<usize>,
     /// A rotation tick is scheduled.
     tick_live: bool,
+}
+
+/// One partition's scheduler state, built when its first job is admitted.
+/// Besides the member list it keeps the counts that the start and retune
+/// paths would otherwise rescan `assigned` for on every event: under
+/// time-sharing every admitted job is a member, and an open stream that
+/// outruns the host loader leaves hundreds of them waiting for their load.
+#[derive(Debug, Clone, Default)]
+struct Part {
+    /// Batch indices assigned here (loading, ready or running), in
+    /// admission order.
+    assigned: VecDeque<usize>,
+    /// Members at [`Stage::Ready`].
+    ready: usize,
+    /// Members at [`Stage::Running`], in admission order: the executing
+    /// jobs.
+    started: Vec<usize>,
+    /// Summed `total_compute` (ns) of the members not started: what
+    /// `Machine::job_remaining` reports for a job with no processes.
+    unstarted_demand: u128,
+    /// The dynamic quantum the last retune set; a member that starts
+    /// later takes it at its start.
+    quantum: SimDuration,
+    /// Gang rotation.
+    gang: GangState,
 }
 
 /// A super-scheduler decision a shard cannot take locally, surfaced to the
@@ -183,15 +219,12 @@ pub struct Driver {
     discipline: Discipline,
     /// Per-entry arrival instants (empty = whole batch at t = 0).
     arrivals: Vec<SimTime>,
-    /// Per-partition gang rotation (front = the active job's batch index).
-    gang: Vec<GangState>,
     entries: Vec<Entry>,
     /// Super scheduler's FCFS queue of batch indices.
     pending: VecDeque<usize>,
-    /// Batch indices assigned to each partition (loading/ready/running).
-    assigned: Vec<VecDeque<usize>>,
-    /// Executing job count per partition.
-    running: Vec<usize>,
+    /// Per-partition scheduler state, up to the highest partition a job
+    /// was admitted to (a partition past the end has none yet).
+    parts: Vec<Part>,
     /// batch index by machine JobId.
     by_job: Vec<usize>,
     /// Fault-requeue budget per entry: a job killed more than this many
@@ -248,7 +281,6 @@ impl Driver {
             PolicyKind::Static => 1,
             PolicyKind::TimeSharing => usize::MAX,
         };
-        let count = plan.count();
         Driver {
             machine,
             plan,
@@ -259,7 +291,6 @@ impl Driver {
             prefetch: 1,
             discipline: Discipline::Uncoordinated,
             arrivals: Vec::new(),
-            gang: (0..count).map(|_| GangState::default()).collect(),
             entries: batch
                 .into_iter()
                 .map(|spec| Entry {
@@ -268,7 +299,7 @@ impl Driver {
                     partition: None,
                     arrival: SimTime::ZERO,
                     finished: None,
-                    started: false,
+                    stage: Stage::Loading,
                     failures: 0,
                     abandoned: false,
                     deferred: false,
@@ -276,8 +307,7 @@ impl Driver {
                 })
                 .collect(),
             pending: VecDeque::new(),
-            assigned: (0..count).map(|_| VecDeque::new()).collect(),
-            running: vec![0; count],
+            parts: Vec::new(),
             by_job: Vec::new(),
             max_requeues: 16,
             respawner: None,
@@ -416,7 +446,7 @@ impl Driver {
         (0..self.plan.count())
             .map(|p| {
                 let gid = self.coord.as_ref().map_or(p, |c| c.partition_ids[p]);
-                (gid, self.assigned[p].len(), self.partition_alive(p))
+                (gid, self.load(p), self.partition_alive(p))
             })
             .collect()
     }
@@ -461,7 +491,7 @@ impl Driver {
                                 partition: None,
                                 arrival: SimTime::ZERO,
                                 finished: None,
-                                started: false,
+                                stage: Stage::Loading,
                                 failures,
                                 abandoned: false,
                                 deferred: false,
@@ -578,8 +608,8 @@ impl Driver {
     ) {
         let cap = self.mpl.saturating_add(self.prefetch);
         let target = (0..self.plan.count())
-            .filter(|&part| self.assigned[part].len() < cap && self.partition_alive(part))
-            .min_by_key(|&part| self.assigned[part].len());
+            .filter(|&part| self.load(part) < cap && self.partition_alive(part))
+            .min_by_key(|&part| self.load(part));
         match target {
             Some(part) => self.admit_to(part, idx, now, sched),
             None => {
@@ -612,8 +642,12 @@ impl Driver {
     /// and the coordinated grant path, which seeds the `Admit` event into
     /// the paused engine instead of scheduling it from inside a handler).
     fn admit_body(&mut self, part: usize, idx: usize, now: SimTime) -> JobId {
-        self.assigned[part].push_back(idx);
+        if part >= self.parts.len() {
+            self.parts.resize_with(part + 1, Part::default);
+        }
+        self.parts[part].assigned.push_back(idx);
         let job = self.queue_on(idx, part);
+        self.parts[part].unstarted_demand += self.machine.job(job).total_compute.nanos() as u128;
         self.machine.observe(
             now,
             parsched_obs::ObsEvent::PartitionAdmit {
@@ -643,28 +677,46 @@ impl Driver {
     /// process's quantum never reschedules a slice already under way — the
     /// new value takes effect at its next dispatch — so this is pure state
     /// and replays bit-identically on any engine.
+    ///
+    /// Only the started members are visited. A member with no processes
+    /// yet counts its whole demand at width 1, which
+    /// [`Part::unstarted_demand`] already sums, and its quantum is read
+    /// only when it spawns, so [`Self::start_ready`] hands it the last
+    /// value set here just before starting it.
     fn retune_quantum(&mut self, part: usize, sched: &mut impl EventScheduler<Event>) {
+        #[cfg(debug_assertions)]
+        self.check_part(part);
         let Discipline::DynamicQuantum { base } = self.discipline else {
             return;
         };
-        let members: Vec<JobId> = self.assigned[part]
-            .iter()
-            .filter_map(|&i| self.entries[i].job_id)
-            .collect();
-        if members.is_empty() {
+        let members = self.parts[part].assigned.len();
+        if members == 0 {
             return;
         }
-        let mut total: u128 = 0;
-        for &id in &members {
+        let mut total = self.parts[part].unstarted_demand;
+        for k in 0..self.parts[part].started.len() {
+            let id = self.live_job(self.parts[part].started[k]);
             let rem = self.machine.job_remaining(id, sched);
             let width = self.machine.job(id).proc_keys.len().max(1) as u64;
             total += (rem.nanos() / width) as u128;
         }
-        let mean = (total / members.len() as u128) as u64;
+        let mean = (total / members as u128) as u64;
         let q = SimDuration::from_nanos(mean.max(base.nanos()));
-        for id in members {
+        self.parts[part].quantum = q;
+        for k in 0..self.parts[part].started.len() {
+            let id = self.live_job(self.parts[part].started[k]);
             self.machine.set_job_quantum(id, q, sched);
         }
+    }
+
+    /// Jobs assigned to `part`.
+    fn load(&self, part: usize) -> usize {
+        self.parts.get(part).map_or(0, |p| p.assigned.len())
+    }
+
+    /// The machine job of an assigned entry.
+    fn live_job(&self, idx: usize) -> JobId {
+        self.entries[idx].job_id.expect("assigned entries hold a job")
     }
 
     /// Register a batch entry with the machine on a partition; returns the
@@ -700,32 +752,117 @@ impl Driver {
         job
     }
 
-    /// Start the first Ready job assigned to `part` if an execution slot is
-    /// free.
+    /// Start Ready jobs assigned to `part`, first in `assigned` order, while
+    /// an execution slot is free. [`Part::ready`] counts them, so a
+    /// partition with none returns at once instead of scanning its whole
+    /// member list.
     fn start_ready(&mut self, part: usize, now: SimTime, sched: &mut impl EventScheduler<Event>) {
-        use parsched_machine::JobState;
-        while self.running[part] < self.mpl {
-            let next = self.assigned[part].iter().copied().find(|&i| {
-                self.entries[i]
-                    .job_id
-                    .is_some_and(|id| self.machine.job(id).state == JobState::Ready)
-            });
-            let Some(idx) = next else {
+        loop {
+            self.absorb_notes();
+            #[cfg(debug_assertions)]
+            self.check_part(part);
+            let p = &self.parts[part];
+            if p.started.len() >= self.mpl || p.ready == 0 {
                 return;
-            };
-            let id = self.entries[idx].job_id.expect("checked");
+            }
+            // The started members ahead of it in `assigned` are ahead of it
+            // in `started` too.
+            let mut ahead = 0;
+            let idx = p
+                .assigned
+                .iter()
+                .copied()
+                .find(|&i| match self.entries[i].stage {
+                    Stage::Ready => true,
+                    Stage::Running => {
+                        ahead += 1;
+                        false
+                    }
+                    Stage::Loading => false,
+                })
+                .expect("a Ready member is assigned");
+            let id = self.live_job(idx);
+            let p = &mut self.parts[part];
+            p.ready -= 1;
+            p.unstarted_demand -= self.machine.job(id).total_compute.nanos() as u128;
+            p.started.insert(ahead, idx);
+            if let Discipline::DynamicQuantum { .. } = self.discipline {
+                let q = self.parts[part].quantum;
+                self.machine.set_job_quantum(id, q, sched);
+            }
             self.machine.start_job(id, now, sched);
-            self.entries[idx].started = true;
-            self.running[part] += 1;
+            self.entries[idx].stage = Stage::Running;
             self.note_mpl(part, now);
         }
+    }
+
+    /// Bring entry stages up to date with the notes the machine has raised
+    /// but the driver has not served yet. A job turns Ready only with a
+    /// `JobReady` note and stops being Ready only when the driver starts it
+    /// or with a `JobFailed` note, so after this an assigned entry is at
+    /// [`Stage::Ready`] exactly when its job is Ready. Start decisions may
+    /// pick any Ready job, not just the one whose note is being served.
+    /// Marking is idempotent, so a note absorbed twice counts once.
+    fn absorb_notes(&mut self) {
+        for note in self.machine.pending_notes() {
+            let (Note::JobReady(id) | Note::JobFailed(id)) = *note else {
+                continue;
+            };
+            let idx = self.by_job[id.idx()];
+            let e = &mut self.entries[idx];
+            debug_assert_eq!(e.job_id, Some(id), "notes name the current incarnation");
+            let part = e.partition.expect("a job with notes is placed");
+            match (*note, e.stage) {
+                (Note::JobReady(_), Stage::Loading) => {
+                    e.stage = Stage::Ready;
+                    self.parts[part].ready += 1;
+                }
+                (Note::JobFailed(_), Stage::Ready) => {
+                    e.stage = Stage::Loading;
+                    self.parts[part].ready -= 1;
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Debug-build reference for a partition's incremental state: recount
+    /// it from `assigned` and the machine's job table the way the scans it
+    /// replaced did. The machine view is current here: every note it has
+    /// raised has been absorbed.
+    #[cfg(debug_assertions)]
+    fn check_part(&self, part: usize) {
+        use parsched_machine::JobState;
+        let p = &self.parts[part];
+        let mut ready = 0;
+        let mut demand: u128 = 0;
+        let mut started = Vec::new();
+        for &i in &p.assigned {
+            let job = self.machine.job(self.live_job(i));
+            if job.state == JobState::Ready {
+                ready += 1;
+            }
+            if job.proc_keys.is_empty() {
+                demand += job.total_compute.nanos() as u128;
+            } else {
+                started.push(i);
+            }
+            assert_eq!(
+                self.entries[i].stage == Stage::Ready,
+                job.state == JobState::Ready,
+                "entry {i}'s stage disagrees with its job's state"
+            );
+        }
+        assert_eq!(p.ready, ready, "partition {part}: Ready count");
+        assert_eq!(p.unstarted_demand, demand, "partition {part}: unstarted demand");
+        assert_eq!(p.started, started, "partition {part}: started members");
     }
 
     /// Sample a partition's executing-job count (its effective MPL) into
     /// the machine's metrics registry, when metrics are enabled.
     fn note_mpl(&mut self, part: usize, now: SimTime) {
         if let Some(m) = self.machine.metrics.as_deref_mut() {
-            m.set_partition_mpl(part, now, self.running[part] as f64);
+            m.set_partition_mpl(part, now, self.parts[part].started.len() as f64);
         }
     }
 
@@ -735,12 +872,12 @@ impl Driver {
                 if let Discipline::Gang { slot } = self.discipline {
                     let idx = self.by_job[id.idx()];
                     let part = self.entries[idx].partition.expect("loaded unplaced job");
-                    self.gang[part].rotation.push_back(idx);
-                    if self.gang[part].rotation.len() > 1 {
+                    self.parts[part].gang.rotation.push_back(idx);
+                    if self.parts[part].gang.rotation.len() > 1 {
                         // Not this job's turn yet: park it.
                         self.machine.set_job_active(id, false, now, sched);
-                        if !self.gang[part].tick_live {
-                            self.gang[part].tick_live = true;
+                        if !self.parts[part].gang.tick_live {
+                            self.parts[part].gang.tick_live = true;
                             sched.schedule(slot, Event::PolicyTick { token: part as u64 });
                         }
                     }
@@ -754,11 +891,10 @@ impl Driver {
             Note::JobCompleted(id) => {
                 let idx = self.by_job[id.idx()];
                 self.entries[idx].finished = Some(now);
-                self.entries[idx].started = false;
                 let part = self.entries[idx].partition.expect("completed unplaced job");
-                self.running[part] -= 1;
+                self.leave_started(part, idx);
                 self.note_mpl(part, now);
-                self.assigned[part].retain(|&i| i != idx);
+                self.leave_assigned(part, idx);
                 self.drop_from_gang(part, idx, now, sched);
                 self.on_departure(idx, now);
                 self.retune_quantum(part, sched);
@@ -787,15 +923,20 @@ impl Driver {
             Note::JobFailed(id) => {
                 let idx = self.by_job[id.idx()];
                 let part = self.entries[idx].partition.expect("failed unplaced job");
-                if self.entries[idx].started {
-                    self.entries[idx].started = false;
-                    self.running[part] -= 1;
+                if self.entries[idx].stage == Stage::Running {
+                    self.leave_started(part, idx);
                     self.note_mpl(part, now);
+                } else {
+                    // Absorbing this note already took a Ready job out of
+                    // the Ready count.
+                    debug_assert_eq!(self.entries[idx].stage, Stage::Loading);
+                    self.parts[part].unstarted_demand -=
+                        self.machine.job(id).total_compute.nanos() as u128;
                 }
                 self.entries[idx].failures += 1;
                 self.entries[idx].job_id = None;
                 self.entries[idx].partition = None;
-                self.assigned[part].retain(|&i| i != idx);
+                self.leave_assigned(part, idx);
                 self.drop_from_gang(part, idx, now, sched);
                 self.retune_quantum(part, sched);
                 if self.entries[idx].failures > self.max_requeues {
@@ -835,7 +976,7 @@ impl Driver {
                 // global queue is empty too and there is nothing to pop.)
                 if self.partition_alive(part) {
                     let cap = self.mpl.saturating_add(self.prefetch);
-                    if self.assigned[part].len() < cap && self.coord.is_none() {
+                    if self.load(part) < cap && self.coord.is_none() {
                         if let Some(next) = self.pending.pop_front() {
                             self.admit_to(part, next, now, sched);
                         }
@@ -844,6 +985,21 @@ impl Driver {
                 }
             }
         }
+    }
+
+    /// A started member of `part` completed or failed: it no longer runs.
+    fn leave_started(&mut self, part: usize, idx: usize) {
+        let p = &mut self.parts[part];
+        let at = p.started.iter().position(|&i| i == idx).expect("a started member");
+        p.started.remove(at);
+        self.entries[idx].stage = Stage::Loading;
+    }
+
+    /// Drop `idx` from `part`'s members, at its position.
+    fn leave_assigned(&mut self, part: usize, idx: usize) {
+        let p = &mut self.parts[part].assigned;
+        let at = p.iter().position(|&i| i == idx).expect("an assigned member");
+        p.remove(at);
     }
 
     /// Remove a finished or failed job from a partition's gang rotation,
@@ -856,10 +1012,10 @@ impl Driver {
         sched: &mut impl EventScheduler<Event>,
     ) {
         if matches!(self.discipline, Discipline::Gang { .. }) {
-            let was_active = self.gang[part].rotation.front() == Some(&idx);
-            self.gang[part].rotation.retain(|&i| i != idx);
+            let was_active = self.parts[part].gang.rotation.front() == Some(&idx);
+            self.parts[part].gang.rotation.retain(|&i| i != idx);
             if was_active {
-                if let Some(&next) = self.gang[part].rotation.front() {
+                if let Some(&next) = self.parts[part].gang.rotation.front() {
                     let next_id = self.entries[next].job_id.expect("rotation holds live jobs");
                     self.machine.set_job_active(next_id, true, now, sched);
                 }
@@ -1009,14 +1165,14 @@ impl Driver {
         let Discipline::Gang { slot } = self.discipline else {
             return;
         };
-        if self.gang[part].rotation.len() < 2 {
+        if self.parts[part].gang.rotation.len() < 2 {
             // Nothing to rotate; stop ticking until a second job arrives.
-            self.gang[part].tick_live = false;
+            self.parts[part].gang.tick_live = false;
             return;
         }
-        let old = *self.gang[part].rotation.front().expect("len >= 2");
-        self.gang[part].rotation.rotate_left(1);
-        let new = *self.gang[part].rotation.front().expect("len >= 2");
+        let old = *self.parts[part].gang.rotation.front().expect("len >= 2");
+        self.parts[part].gang.rotation.rotate_left(1);
+        let new = *self.parts[part].gang.rotation.front().expect("len >= 2");
         let old_id = self.entries[old].job_id.expect("rotation holds live jobs");
         let new_id = self.entries[new].job_id.expect("rotation holds live jobs");
         self.machine.set_job_active(old_id, false, now, sched);
@@ -1041,6 +1197,7 @@ impl Model for Driver {
         // Acting on a note can raise more (a start emits `JobLoaded`):
         // serve them all at this instant, not at whatever event comes next.
         loop {
+            self.absorb_notes();
             let notes = self.machine.drain_notes();
             if notes.is_empty() {
                 break;
@@ -1330,6 +1487,30 @@ mod tests {
         assert!(d.entries[0].abandoned);
         assert_eq!(d.machine.counters.jobs_requeued, 0);
         assert_eq!(d.machine.counters.jobs_abandoned, 1);
+    }
+
+    #[test]
+    fn dynamic_quantum_survives_a_crash_between_load_and_start() {
+        // One 2-node partition at MPL 1 with two loads staged ahead, 1 ms
+        // per load: job 0 starts at 1 ms, job 1 is Ready from 2 ms waiting
+        // for the slot, job 2 is still loading when node 1 crashes at
+        // 2.5 ms. All three fail (running, Ready, mid-load) and rerun on
+        // node 0. Debug builds hold the partition's Ready count, unstarted
+        // demand and started list to a rescan at every start and retune.
+        let mut faults = crash(1, 0);
+        faults.crashes[0].at = SimTime::ZERO + SimDuration::from_micros(2_500);
+        let mut d = faulty_driver(faults, (0..3).map(|_| wide_job(20, 2)).collect())
+            .with_mpl(1)
+            .with_prefetch(2)
+            .with_discipline(Discipline::DynamicQuantum {
+                base: SimDuration::from_millis(2),
+            });
+        run(&mut d);
+        assert_eq!(d.machine.counters.jobs_failed, 3);
+        assert!(d.entries.iter().all(|e| e.failures == 1), "every stage failed once");
+        let p = &d.parts[0];
+        assert_eq!((p.ready, p.unstarted_demand), (0, 0));
+        assert!(p.assigned.is_empty() && p.started.is_empty());
     }
 
     #[test]

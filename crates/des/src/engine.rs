@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 ///
 /// `handle` is generic over the scheduler so a model written once runs
 /// unchanged under any engine that can provide the scheduling contract —
-/// the optimized two-tier [`Engine`] in this crate or the naive
+/// the optimized [`Engine`] in this crate or the naive
 /// reference engine in `parsched-oracle`. Monomorphization keeps the hot
 /// path free of dynamic dispatch.
 pub trait Model {
@@ -60,6 +60,17 @@ pub trait EventScheduler<E> {
     /// Schedule a cancellable event at an absolute instant
     /// (must not be in the past).
     fn schedule_timer_at(&mut self, time: SimTime, event: E) -> TimerHandle;
+
+    /// Schedule `event` at an absolute instant, as
+    /// [`schedule_at`](Self::schedule_at) does, as the next event of a
+    /// stream whose `(time, seq)` keys only increase (the host loader's
+    /// completions). The event takes the same seq and fires at the same
+    /// point of the order as with `schedule_at`; an engine may keep such a
+    /// stream outside its heap until the stream's turn. A call that breaks
+    /// the promise costs speed, never order.
+    fn schedule_ordered(&mut self, time: SimTime, event: E) {
+        self.schedule_at(time, event);
+    }
 
     /// Cancel a timer scheduled with
     /// [`schedule_timer`](Self::schedule_timer). Returns `true` if the
@@ -153,11 +164,13 @@ impl<E> EventSeeder<E> for Engine<E> {
 
 /// Handle through which a model schedules future events during `handle`.
 ///
-/// New events go straight into the engine's two pending-event tiers — the
+/// New events go straight into the engine's pending-event set — the
 /// now-queue for the current instant, the future-event heap for everything
-/// later, cancellable timers included — with no intermediate buffering.
-/// Both tiers order by the same `(time, seq)` key, so the pop order is
-/// identical to what a single buffered queue would give.
+/// later, cancellable timers included, and the ordered lane for
+/// [`schedule_ordered`](EventScheduler::schedule_ordered) streams — with no
+/// intermediate buffering. All of them order by the same `(time, seq)`
+/// key, so the pop order is identical to what a single buffered queue
+/// would give.
 pub struct Scheduler<'w, E> {
     now: SimTime,
     /// Issue index of the next scheduled event.
@@ -204,6 +217,21 @@ impl<E> EventScheduler<E> for Scheduler<'_, E> {
         let seq = real_seq(self.next_seq);
         self.next_seq += 1;
         self.future.push_timer(time, seq, event)
+    }
+
+    fn schedule_ordered(&mut self, time: SimTime, event: E) {
+        if time == self.now {
+            self.schedule_at(time, event);
+            return;
+        }
+        assert!(
+            time > self.now,
+            "cannot schedule into the past: {time} < {now}",
+            now = self.now
+        );
+        let seq = real_seq(self.next_seq);
+        self.next_seq += 1;
+        self.future.push_ordered(ORDERED_LANE, time, seq, event);
     }
 
     fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
@@ -255,8 +283,9 @@ impl<E> EventScheduler<E> for Scheduler<'_, E> {
 }
 
 /// Which pending-event set an [`Engine`] uses. There is one: the
-/// now-queue plus the future-event heap. The enum stays so configurations
-/// that name a backend ([`Engine::new`]'s argument) keep working.
+/// now-queue, the future-event heap and its ordered lanes. The enum stays
+/// so configurations that name a backend ([`Engine::new`]'s argument) keep
+/// working.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
     /// The 4-ary future-event heap ([`BinaryHeapQueue`]).
@@ -293,10 +322,21 @@ impl TimerHandle {
     }
 }
 
-/// Slot of a heap entry that is not a timer.
+/// Slot of the heap entry that heads ordered lane `i`: `LANE_HEAD + i`.
+/// Lane slots sit above every timer slot, so one comparison
+/// (`slot >= LANE_HEAD`) tells a timer from everything else.
+const LANE_HEAD: u32 = u32::MAX - LANES as u32;
+/// Slot of a heap entry that is not a timer and heads no lane.
 const NO_SLOT: u32 = u32::MAX;
 /// Content of a free timer slot; sequence numbers never reach it.
 const FREE: u64 = u64::MAX;
+
+/// Ordered lanes an engine keeps.
+const LANES: usize = 2;
+/// The lane [`Engine::seed`] feeds: arrivals, after any fault seeds.
+const SEED_LANE: usize = 0;
+/// The lane [`EventScheduler::schedule_ordered`] feeds.
+const ORDERED_LANE: usize = 1;
 
 /// A future-event heap entry: the payload plus, for a timer, its slot.
 struct Entry<E> {
@@ -304,14 +344,44 @@ struct Entry<E> {
     event: E,
 }
 
+/// A FIFO of pending events whose keys only increase. Only its head sits
+/// in the heap; the rest wait here and skip the heap until they reach the
+/// front.
+struct OrderedLane<E> {
+    /// The events behind the head, in key order.
+    queue: VecDeque<Scheduled<E>>,
+    /// Key of the last event that joined; a later event joins only with a
+    /// greater key.
+    last: u128,
+    /// The head is in the heap.
+    headed: bool,
+}
+
+impl<E> OrderedLane<E> {
+    fn new() -> Self {
+        OrderedLane {
+            queue: VecDeque::new(),
+            last: 0,
+            headed: false,
+        }
+    }
+}
+
 /// Every event scheduled past the current instant, timers included, in one
-/// heap, with lazy timer cancellation.
+/// heap, with lazy timer cancellation, and two ordered lanes beside it.
 ///
 /// Each timer holds a slot in a small slab that records the seq of the
 /// live timer occupying it. Cancelling frees the slot; the heap entry
 /// stays behind as a *corpse* and is dropped when it reaches the top
 /// (its slot no longer holds its seq). Freed slots are reused, so the slab
 /// is as large as the most timers ever live at once.
+///
+/// An ordered lane holds a stream of events with increasing keys (the
+/// arrival seeds, the host loader's completions). Only each lane's head
+/// is in the heap, marked by its lane slot; popping it pushes the lane's
+/// next event. Every lane's earliest event is thus in the heap, so the
+/// heap's top is still the earliest pending event, and a backlog of
+/// thousands of queued loads no longer deepens every sift.
 struct FutureEvents<E> {
     heap: BinaryHeapQueue<Entry<E>>,
     /// Per slot: the seq of the live timer holding it, or [`FREE`].
@@ -320,6 +390,7 @@ struct FutureEvents<E> {
     free: Vec<u32>,
     /// Cancelled timers whose corpses are still in the heap.
     corpses: usize,
+    lanes: [OrderedLane<E>; LANES],
 }
 
 impl<E> FutureEvents<E> {
@@ -329,12 +400,14 @@ impl<E> FutureEvents<E> {
             slots: Vec::new(),
             free: Vec::new(),
             corpses: 0,
+            lanes: std::array::from_fn(|_| OrderedLane::new()),
         }
     }
 
-    /// Live events: every heap entry but the corpses.
+    /// Live events: every heap entry but the corpses, and every lane
+    /// event behind its head.
     fn len(&self) -> usize {
-        self.heap.len() - self.corpses
+        self.heap.len() - self.corpses + self.lanes.iter().map(|l| l.queue.len()).sum::<usize>()
     }
 
     /// Live timers: every slot in use.
@@ -350,6 +423,26 @@ impl<E> FutureEvents<E> {
         self.heap.push(Scheduled { time, seq, event });
     }
 
+    /// Queue an event on ordered lane `lane`, or in the heap when its key
+    /// is not after the lane's last one.
+    fn push_ordered(&mut self, lane: usize, time: SimTime, seq: u64, event: E) {
+        let l = &mut self.lanes[lane];
+        if pack(time, seq) <= l.last {
+            return self.push(time, seq, event);
+        }
+        l.last = pack(time, seq);
+        if l.headed {
+            l.queue.push_back(Scheduled { time, seq, event });
+        } else {
+            l.headed = true;
+            let event = Entry {
+                slot: LANE_HEAD + lane as u32,
+                event,
+            };
+            self.heap.push(Scheduled { time, seq, event });
+        }
+    }
+
     fn push_timer(&mut self, time: SimTime, seq: u64, event: E) -> TimerHandle {
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -359,8 +452,8 @@ impl<E> FutureEvents<E> {
             None => {
                 let slot = u32::try_from(self.slots.len())
                     .ok()
-                    .filter(|&s| s != NO_SLOT)
-                    .expect("fewer than u32::MAX live timers");
+                    .filter(|&s| s < LANE_HEAD)
+                    .expect("fewer than u32::MAX - 2 live timers");
                 self.slots.push(seq);
                 slot
             }
@@ -394,7 +487,7 @@ impl<E> FutureEvents<E> {
     fn peek_key(&mut self) -> Option<u128> {
         loop {
             let (key, entry) = self.heap.peek()?;
-            if entry.slot == NO_SLOT || self.slots[entry.slot as usize] == key as u64 {
+            if entry.slot >= LANE_HEAD || self.slots[entry.slot as usize] == key as u64 {
                 return Some(key);
             }
             self.heap.pop();
@@ -403,13 +496,25 @@ impl<E> FutureEvents<E> {
     }
 
     /// Remove the earliest entry, which [`peek_key`](Self::peek_key) has
-    /// just found live, releasing its timer slot.
+    /// just found live, releasing its timer slot or moving its lane's next
+    /// event into the heap.
     #[inline]
     fn pop_live(&mut self) -> Scheduled<E> {
         let Scheduled { time, seq, event } = self.heap.pop().expect("peeked the head");
-        if event.slot != NO_SLOT {
+        if event.slot < LANE_HEAD {
             self.slots[event.slot as usize] = FREE;
             self.free.push(event.slot);
+        } else if event.slot != NO_SLOT {
+            let slot = event.slot;
+            let l = &mut self.lanes[(slot - LANE_HEAD) as usize];
+            match l.queue.pop_front() {
+                Some(next) => self.heap.push(Scheduled {
+                    time: next.time,
+                    seq: next.seq,
+                    event: Entry { slot, event: next.event },
+                }),
+                None => l.headed = false,
+            }
         }
         Scheduled {
             time,
@@ -453,9 +558,9 @@ pub enum RunOutcome {
     Paused,
 }
 
-/// The discrete-event engine: a clock plus a two-tier pending-event set.
+/// The discrete-event engine: a clock plus a pending-event set.
 ///
-/// Pending events live in one of two places, both ordered by the same
+/// Pending events live in one of three places, all ordered by the same
 /// packed `(time, seq)` key so a merge-pop across them reproduces the exact
 /// global order a single queue would give:
 ///
@@ -466,7 +571,14 @@ pub enum RunOutcome {
 ///   included. A cancelled timer stays in the heap until it reaches the
 ///   top, where the merge-peek drops it before it is counted or checked
 ///   against the horizon, so it never fires and never shows in
-///   [`pending`](Self::pending) or `timer_count`.
+///   [`pending`](Self::pending) or `timer_count`,
+/// * two **ordered lanes** — FIFOs of events whose keys only increase: the
+///   [`seed`](Self::seed) stream (a driver's arrivals) and the
+///   [`schedule_ordered`](EventScheduler::schedule_ordered) stream (the
+///   host loader's completions). Only each lane's head sits in the heap,
+///   so a backlog of thousands of such events costs the heap one entry per
+///   lane. An event whose key is not after its lane's last one goes to the
+///   heap instead, so order never rests on the caller.
 ///
 /// An engine issues at most [`ISSUE_LIMIT`](crate::order::ISSUE_LIMIT)
 /// events over its life (about 4.29 billion schedule calls, timers and
@@ -533,12 +645,14 @@ impl<E> Engine<E> {
         self.future.len() + self.now_queue.len()
     }
 
-    /// Schedule an event before the run starts (or between runs).
+    /// Schedule an event before the run starts (or between runs). Seeds
+    /// in key order (a driver's arrivals) queue on an ordered lane rather
+    /// than in the heap; any seed fires at its `(time, seq)` place.
     pub fn seed(&mut self, time: SimTime, event: E) {
         assert!(time >= self.now, "cannot seed into the past");
         let seq = real_seq(self.next_seq);
         self.next_seq += 1;
-        self.future.push(time, seq, event);
+        self.future.push_ordered(SEED_LANE, time, seq, event);
     }
 
     /// The packed key of the earliest live event and whether it is the

@@ -4,8 +4,9 @@
 //! `parsched` reproduction of Chan, Dandamudi & Majumdar (IPPS 1997).
 //!
 //! The kernel is domain-agnostic: it provides simulated [time](time), the
-//! [event loop](engine) over a now-queue and one [future-event heap](queue)
-//! with lazy timer cancellation, the [ordering primitives](order) a model
+//! [event loop](engine) over a now-queue, one [future-event heap](queue)
+//! with lazy timer cancellation and two ordered lanes for event streams
+//! whose keys only increase, the [ordering primitives](order) a model
 //! uses to place work it defers in closed form, [output statistics](stats),
 //! a [deterministic RNG](rng) with labelled substreams, and a bounded
 //! [trace](trace) buffer. Everything Transputer-specific lives in
@@ -16,8 +17,9 @@
 //! Simulations built on this kernel are bit-for-bit reproducible: integer
 //! nanosecond timestamps, sequence-number tiebreaks for simultaneous events,
 //! and seeded RNG substreams. The engine's now-queue/heap merge pops in
-//! exact `(time, seq)` order, and the differential oracle holds it to a
-//! naive single-heap engine event for event.
+//! exact `(time, seq)` order (each ordered lane keeps its head in the
+//! heap), and the differential oracle holds it to a naive single-heap
+//! engine event for event.
 //!
 //! ## Example
 //!

@@ -4,10 +4,12 @@
 //! and `cancel_timer` are driven through [`Engine`] one event at a time
 //! and mirrored on a sorted list of `(time, seq)` entries. After every
 //! event the fire order, every `cancel_timer` return value, `timer_count()`
-//! and `pending()` must agree with the reference. Explicit cases below pin
-//! the lazy-cancellation corners: a stale handle whose slot now holds a
-//! newer timer, cancel-after-fire, cancelled timers near the horizon, and
-//! the merge order of the at-now bypass against the heap.
+//! and `pending()` must agree with the reference. A second script adds the
+//! ordered lanes' inputs (`schedule_ordered` and seeds, in order and out
+//! of order) with horizon stops and scheduling between runs. Explicit
+//! cases below pin the lazy-cancellation corners: a stale handle whose
+//! slot now holds a newer timer, cancel-after-fire, cancelled timers near
+//! the horizon, and the merge order of the at-now bypass against the heap.
 //!
 //! Seeded [`DetRng`] loops; each case derives its own substream, so a
 //! failure's case index is enough to replay it exactly.
@@ -170,6 +172,161 @@ fn random_interleavings_match_the_reference() {
             }
             assert_eq!(outcome, RunOutcome::BudgetExhausted, "case {case}");
         }
+        assert!(model.reference.pending.is_empty(), "case {case}");
+    }
+}
+
+/// Random calls that feed the engine's ordered lanes, beside plain,
+/// at-now and timer events and cancels. The ordered calls mostly keep
+/// their promise (each at or after the previous one's instant) and
+/// sometimes break it; the engine must fire both exactly where the
+/// reference puts them.
+struct LaneScript {
+    rng: DetRng,
+    reference: Reference,
+    handles: Vec<(TimerHandle, u64)>,
+    next_id: u64,
+    /// Events still allowed to schedule more (bounds the run).
+    budget: u32,
+    /// Instant of the latest `schedule_ordered` call.
+    ordered_at: u64,
+    case: u64,
+}
+
+impl LaneScript {
+    fn fresh_id(&mut self) -> u64 {
+        self.next_id += 1;
+        self.next_id
+    }
+
+    /// The next instant of an ordered stream that starts no earlier than
+    /// `floor`: usually at or after `last`, one time in four anywhere
+    /// from `floor` on.
+    fn stream_time(&mut self, floor: u64, last: u64) -> u64 {
+        match self.rng.uniform_u64(0, 4) {
+            0 => floor + self.rng.uniform_u64(0, 400),
+            1 => floor.max(last),
+            _ => floor.max(last) + self.rng.uniform_u64(1, 60),
+        }
+    }
+
+    /// A random burst of scheduling calls at `now`, mirrored on the
+    /// reference, then a check of `timer_count()` and `next_pending()`.
+    fn burst(&mut self, now: u64, sched: &mut impl EventScheduler<u64>) {
+        let case = self.case;
+        for _ in 0..self.rng.uniform_u64(0, 6) {
+            match self.rng.uniform_u64(0, 10) {
+                0 => {
+                    let (t, id) = (now + self.rng.uniform_u64(0, 300), self.fresh_id());
+                    sched.schedule_at(SimTime(t), id);
+                    self.reference.push(t, id, false);
+                }
+                1 => {
+                    let id = self.fresh_id();
+                    sched.schedule_now(id);
+                    self.reference.push(now, id, false);
+                }
+                2..=5 => {
+                    let t = self.stream_time(now, self.ordered_at);
+                    self.ordered_at = self.ordered_at.max(t);
+                    let id = self.fresh_id();
+                    sched.schedule_ordered(SimTime(t), id);
+                    self.reference.push(t, id, false);
+                }
+                6 | 7 => {
+                    let (t, id) = (now + self.rng.uniform_u64(0, 300), self.fresh_id());
+                    let h = sched.schedule_timer_at(SimTime(t), id);
+                    self.reference.push(t, id, true);
+                    self.handles.push((h, id));
+                }
+                _ => {
+                    if self.handles.is_empty() {
+                        continue;
+                    }
+                    let k = self.rng.uniform_u64(0, self.handles.len() as u64) as usize;
+                    let (h, id) = self.handles[k];
+                    assert_eq!(
+                        sched.cancel_timer(h),
+                        self.reference.cancel(id),
+                        "case {case}: cancel of {id}"
+                    );
+                }
+            }
+            assert_eq!(sched.timer_count(), self.reference.timers(), "case {case}");
+        }
+        let next = self
+            .reference
+            .pending
+            .iter()
+            .map(|&(t, seq, _, _)| Key::real(SimTime(t), seq))
+            .min();
+        assert_eq!(sched.next_pending(), next, "case {case}: next pending");
+    }
+}
+
+impl Model for LaneScript {
+    type Event = u64;
+
+    fn handle(&mut self, now: SimTime, id: u64, sched: &mut impl EventScheduler<u64>) {
+        let case = self.case;
+        let want = self.reference.pop();
+        assert_eq!(Some((now.nanos(), id)), want, "case {case}: fire order");
+        assert_eq!(sched.timer_count(), self.reference.timers(), "case {case}");
+        if self.budget > 0 {
+            self.budget -= 1;
+            self.burst(now.nanos(), sched);
+        }
+    }
+}
+
+#[test]
+fn ordered_lanes_match_the_reference() {
+    let root = DetRng::new(0x1A7E);
+    for case in 0..300u64 {
+        let mut rng = root.substream_idx("lanes-vs-reference", case);
+        let budget = rng.uniform_u64(1, 250) as u32;
+        let mut model = LaneScript {
+            rng,
+            reference: Reference::default(),
+            handles: Vec::new(),
+            next_id: 0,
+            budget,
+            ordered_at: 0,
+            case,
+        };
+        let mut engine = Engine::new(QueueKind::BinaryHeap);
+        let mut seeded_at = 0;
+        for round in 0..model.rng.uniform_u64(1, 12) {
+            // Seeds, in order and out of order, from the engine's instant.
+            let now = engine.now().nanos();
+            for _ in 0..model.rng.uniform_u64(0, 8) {
+                let t = model.stream_time(now, seeded_at);
+                seeded_at = seeded_at.max(t);
+                let id = model.fresh_id();
+                engine.seed(SimTime(t), id);
+                model.reference.push(t, id, false);
+            }
+            if round > 0 && model.rng.uniform_u64(0, 2) == 0 {
+                engine.between_runs(|sched| model.burst(now, sched));
+            }
+            // A few events one at a time (so `pending()` is compared after
+            // each), then on to a horizon.
+            for _ in 0..model.rng.uniform_u64(0, 20) {
+                engine.max_events = engine.events_processed() + 1;
+                let outcome = engine.run(&mut model);
+                assert_eq!(engine.pending(), model.reference.pending.len(), "case {case}");
+                if outcome == RunOutcome::Drained {
+                    break;
+                }
+            }
+            engine.max_events = u64::MAX;
+            engine.horizon = SimTime(engine.now().nanos() + model.rng.uniform_u64(0, 500));
+            let outcome = engine.run(&mut model);
+            assert_ne!(outcome, RunOutcome::BudgetExhausted, "case {case}");
+            assert_eq!(engine.pending(), model.reference.pending.len(), "case {case}");
+            engine.horizon = SimTime::MAX;
+        }
+        assert_eq!(engine.run(&mut model), RunOutcome::Drained, "case {case}");
         assert!(model.reference.pending.is_empty(), "case {case}");
     }
 }

@@ -720,8 +720,8 @@ impl Machine {
         sched: &mut impl EventScheduler<Event>,
     ) {
         self.jobs[id.idx()].quantum = quantum;
-        let keys = self.jobs[id.idx()].proc_keys.clone();
-        for pk in keys {
+        for k in 0..self.jobs[id.idx()].proc_keys.len() {
+            let pk = self.jobs[id.idx()].proc_keys[k];
             let p = &self.procs[pk.idx()];
             if p.quantum != quantum {
                 self.settle_cpu(p.node, SettleReason::Quantum, sched);
@@ -760,6 +760,11 @@ impl Machine {
     /// every event).
     pub fn drain_notes(&mut self) -> Vec<Note> {
         std::mem::take(&mut self.notes)
+    }
+
+    /// Notifications raised and not yet drained, oldest first.
+    pub fn pending_notes(&self) -> &[Note] {
+        &self.notes
     }
 
     /// Register a job without admitting it. `placement[rank]` is the global
@@ -942,7 +947,9 @@ impl Machine {
         }
         .max(j.load_floor);
         self.loader_free_at = start + duration;
-        sched.schedule_at(self.loader_free_at, Event::LoadJob { job });
+        // `loader_free_at` never decreases, so the loads form an ordered
+        // stream.
+        sched.schedule_ordered(self.loader_free_at, Event::LoadJob { job });
     }
 
     fn on_load_job(&mut self, job: JobId, now: SimTime, sched: &mut impl EventScheduler<Event>) {
