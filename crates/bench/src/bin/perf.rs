@@ -34,7 +34,10 @@
 //!   §5.2 conjecture at scale; see `parsched_bench::scale::t4k`): one
 //!   topology family per policy class, each switching mode pinned as its
 //!   own golden and each (cell, switching) family asserted shard-count
-//!   independent at K ∈ {1, 2, 4};
+//!   independent at K ∈ {1, 2, 4}. The runner starts only the shards a
+//!   batch reaches, and the 8 relay jobs land on partitions 0..8, so
+//!   every `_s2`/`_s4` relay run but `t4k_fattree_*_s4` (2 shards) takes
+//!   the sequential path; each run asserts its exact shard count;
 //! * `t{16k,64k}_{torus,fattree,dragonfly}_{worm,saf}_{seq,s2,s4}` — the
 //!   t4k cells scaled into the index space the widened `u32` `NodeId`
 //!   opened (16 384–16 640 and 65 728–65 920 processors; every t64k size
@@ -72,7 +75,7 @@ use parsched_machine::Switching;
 use parsched_core::prelude::*;
 use parsched_des::prelude::*;
 use parsched_machine::JobSpec;
-use parsched_topology::TopologyKind;
+use parsched_topology::{ShardPlan, TopologyKind};
 use parsched_workload::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -164,33 +167,49 @@ fn run_t1k(cell: Cell1k, shards: usize) -> f64 {
     std::hint::black_box(r.mean_response())
 }
 
+/// Assert a relay cell's run (t4k, t16k, t64k) used exactly the shards
+/// its batch reaches. The t = 0 placement puts relay job `i` on partition
+/// `i` (every cell has more partitions than jobs, each with room for one),
+/// and of the contiguous `shards`-cut only the shards holding those
+/// partitions run. Most cells' 8 jobs reach shard 0 alone and run
+/// sequentially with the runner's reason; `t4k_fattree` at 4 shards
+/// (five partitions each) runs 2. Anything else — a silent fallback
+/// included — fails.
+fn assert_relay_shards(
+    r: &ShardedRunResult,
+    cfg: &ExperimentConfig,
+    jobs: usize,
+    shards: usize,
+    what: &str,
+) {
+    let parts = cfg.system_size / cfg.partition_size;
+    assert!(jobs <= parts, "{what}: relay jobs must fit one per partition");
+    let used = ShardPlan::contiguous(parts, shards).shard_of(jobs - 1) + 1;
+    let sequential = "the batch's t = 0 placement reaches at most one shard";
+    let reason = (shards > 1 && used == 1).then_some(sequential);
+    assert_eq!((r.shards, r.fallback), (used, reason), "{what} at {shards} shards");
+}
+
 /// One t4k interconnect cell (see `parsched_bench::scale::t4k`): a
 /// ~4096-node torus / fat-tree / dragonfly machine under wormhole or
-/// store-and-forward switching. Like the t1k cells, a silent sequential
-/// fallback would invalidate the timing, so it is rejected.
+/// store-and-forward switching, at exactly the shards its batch reaches.
 fn run_t4k(cell: Cell4k, switching: Switching, shards: usize) -> f64 {
     let (cfg, batch) = t4k(cell, switching);
+    let jobs = batch.len();
     let r = run_batch_sharded(&cfg, batch, shards).expect("t4k cell simulates");
-    assert_eq!(
-        r.fallback, None,
-        "t4k_{} at {shards} shards fell back to sequential",
-        cell.label()
-    );
+    assert_relay_shards(&r, &cfg, jobs, shards, &format!("t4k_{}", cell.label()));
     std::hint::black_box(r.mean_response())
 }
 
 /// One t16k/t64k cell (see `parsched_bench::scale::tscale`): the t4k
-/// experiment scaled past the old `u16` node-index ceiling. Same
-/// no-silent-fallback contract.
+/// experiment scaled past the old `u16` node-index ceiling, under the same
+/// shard-count contract.
 fn run_tscale(cell: Cell4k, point: ScalePoint, switching: Switching, shards: usize) -> f64 {
     let (cfg, batch) = tscale(cell, point, switching);
+    let jobs = batch.len();
     let r = run_batch_sharded(&cfg, batch, shards).expect("tscale cell simulates");
-    assert_eq!(
-        r.fallback, None,
-        "{}_{} at {shards} shards fell back to sequential",
-        point.label(),
-        cell.label()
-    );
+    let what = format!("{}_{}", point.label(), cell.label());
+    assert_relay_shards(&r, &cfg, jobs, shards, &what);
     std::hint::black_box(r.mean_response())
 }
 

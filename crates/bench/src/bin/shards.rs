@@ -13,13 +13,18 @@
 //! class the leader coordinates runs on the 1024-node torus cells:
 //! static space-sharing, the hybrid MPL-2 discipline, an MPL-capped
 //! static run, and time-sharing under a crash + flaky-link fault plan —
-//! each bit-identical to its sequential run, none falling back. A tiny
-//! 4096-node torus case covers uncoordinated time-sharing at a larger
-//! machine size, a
-//! 65 792-node store-and-forward torus (the t64k cell) covers the largest,
-//! a wormhole gate runs one K = 2 flit-switched case per topology family
-//! (torus, fat-tree, dragonfly — the t4k cells), and a gang-scheduled
-//! configuration must still fall back with a recorded reason. Every
+//! each bit-identical to its sequential run, none falling back. The runner
+//! starts only the shards a batch's t = 0 placement reaches, so the
+//! 8-job cases below — a 4096-node torus under uncoordinated
+//! time-sharing, the 65 792-node store-and-forward torus (the t64k cell)
+//! and one flit-switched case per topology family (torus, fat-tree,
+//! dragonfly — the t4k cells) — must collapse to one shard at K = 2,
+//! with the reason recorded and no shard thread, bit-identically. Two
+//! larger batches keep the cut gated at scale: 40 static relay jobs on the
+//! 4096-node torus and 12 hybrid relay jobs on the wormhole fat-tree reach
+//! both shards and must run at K = 2 without falling back. A
+//! gang-scheduled configuration must still fall back with a recorded
+//! reason. Every
 //! sharded case also checks that the shards' machines add up to the whole
 //! machine (`ShardTiming::nodes`): each shard owns only its own
 //! partitions, and builds at most those (`ShardTiming::built_nodes`, the
@@ -39,7 +44,9 @@
 //! `shard_phases.csv` and `shard_phase_gauges.csv`). This is the source
 //! of the scaling tables in `EXPERIMENTS.md`.
 
-use parsched_bench::scale::{t4k, torus1k, torus4k, tscale, Cell1k, Cell4k, ScalePoint};
+use parsched_bench::scale::{
+    t4k, t4k_job, torus1k, torus4k, tscale, Cell1k, Cell4k, ScalePoint,
+};
 use parsched_core::prelude::*;
 use parsched_core::sharded::run_batch_sharded;
 use parsched_des::{SimDuration, SimTime};
@@ -127,6 +134,26 @@ fn assert_shards_bit_identically(cfg: &ExperimentConfig, batch: &[JobSpec], what
     );
 }
 
+/// Run `cfg` sequentially and at 2 shards where the batch's t = 0
+/// placement reaches only shard 0 of the cut: the K = 2 run must take the
+/// sequential path with the runner's reason, start no shard thread, and
+/// match bit for bit.
+fn assert_collapses_to_one_shard(cfg: &ExperimentConfig, batch: &[JobSpec], what: &str) {
+    let seq = run_batch_sharded(cfg, batch.to_vec(), 1)
+        .unwrap_or_else(|e| panic!("{what}: sequential run failed: {e}"));
+    let par = run_batch_sharded(cfg, batch.to_vec(), 2)
+        .unwrap_or_else(|e| panic!("{what}: K = 2 run failed: {e}"));
+    assert_eq!(par.shards, 1, "{what}: the batch reaches one shard");
+    assert_eq!(
+        par.fallback,
+        Some("the batch's t = 0 placement reaches at most one shard"),
+        "{what}: fallback reason"
+    );
+    assert!(par.timings.is_empty(), "{what}: no shard thread may run");
+    assert_matches(&seq, &par, what);
+    println!("shards --smoke: {what}: OK (K=2 collapses to one shard, bit-identical)");
+}
+
 fn smoke() {
     let (cfg, batch) = config();
     let seq = run_batch_sharded(&cfg, batch.clone(), 1).expect("sequential run completes");
@@ -176,25 +203,38 @@ fn smoke() {
     };
     assert_shards_bit_identically(&f_cfg, &f_batch, "crash + flaky-link fault plan");
 
+    // The relay and wide-job batches of 8 jobs land on partitions 0..8,
+    // all in shard 0 of the K = 2 cut of these machines: the run starts
+    // no shard thread.
     let (t4_cfg, t4_batch) = torus4k();
     let what = "4096-node torus (uncoordinated time-sharing)";
-    assert_shards_bit_identically(&t4_cfg, &t4_batch, what);
+    assert_collapses_to_one_shard(&t4_cfg, &t4_batch, what);
 
-    // The largest store-and-forward cell: 65 792 nodes, where building a
-    // whole machine per shard is what sharding used to pay for.
+    // The largest store-and-forward cell: 65 792 nodes.
     let (t64_cfg, t64_batch) =
         tscale(Cell4k::Torus, ScalePoint::T64k, Switching::StoreAndForward);
-    assert_shards_bit_identically(&t64_cfg, &t64_batch, "t64k torus store-and-forward");
+    assert_collapses_to_one_shard(&t64_cfg, &t64_batch, "t64k torus store-and-forward");
 
-    // Wormhole smoke gate: one K = 2 case per topology family under
-    // flit-level switching — the t4k cells whose goldens `perf --check`
-    // pins. Flit ticks, VC grants and credit stalls must replay
-    // bit-identically across the shard cut.
+    // Wormhole smoke gate: one case per topology family under flit-level
+    // switching — the t4k cells whose goldens `perf --check` pins.
     for cell in Cell4k::all() {
         let (w_cfg, w_batch) = t4k(cell, Switching::Wormhole);
         let what = format!("wormhole {} (t4k)", cell.label());
-        assert_shards_bit_identically(&w_cfg, &w_batch, &what);
+        assert_collapses_to_one_shard(&w_cfg, &w_batch, &what);
     }
+
+    // Batches that reach both shards at these sizes keep the cut gated:
+    // 40 static relay jobs on the 64-partition 4096-node torus fill
+    // partitions 0..40, and 12 hybrid relay jobs on the 20-partition
+    // fat-tree fill partitions 0..12, past each machine's half. Flit
+    // ticks, VC grants and credit stalls must replay bit-identically
+    // across the shard cut.
+    let (big_cfg, _) = t4k(Cell4k::Torus, Switching::StoreAndForward);
+    let big_batch: Vec<JobSpec> = (0..40).map(|i| t4k_job(i, 64)).collect();
+    assert_shards_bit_identically(&big_cfg, &big_batch, "4096-node torus, 40 relay jobs");
+    let (w_cfg, _) = t4k(Cell4k::FatTree, Switching::Wormhole);
+    let w_batch: Vec<JobSpec> = (0..12).map(|i| t4k_job(i, 64)).collect();
+    assert_shards_bit_identically(&w_cfg, &w_batch, "wormhole fattree (t4k), 12 relay jobs");
 
     // An ineligible configuration must fall back, say why, and match.
     let (mut g_cfg, g_batch) = config();

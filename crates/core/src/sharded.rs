@@ -5,8 +5,10 @@
 //! ever crosses from one partition to another: the partitions evolve
 //! independently once the *global* super-scheduler decisions — admission
 //! order, host-link load serialization, queue pops, fault requeues — are
-//! accounted for. [`run_batch_sharded`] cuts the partition plan into `K`
-//! contiguous shards ([`ShardPlan`]). Each shard builds, runs and drops its
+//! accounted for. [`run_batch_sharded`] cuts the partition plan into at
+//! most `K` contiguous shards ([`ShardPlan`]): the shards the batch's
+//! t = 0 placement reaches, the last of them also owning the idle tail
+//! ([`ShardPlan::fold_after`]). Each shard builds, runs and drops its
 //! own [`Machine`] + [`Driver`] on its own thread, and that machine covers
 //! only the shard's partitions, renumbered from processor 0
 //! ([`SystemNet::for_partitions`], [`PartitionPlan::sub_plan`]).
@@ -43,8 +45,9 @@
 //! for bit*; the differential oracle sweeps assert exactly that. The few
 //! configurations whose global order is not locally derivable (gang
 //! rotation ticks, fault plans under a bounded MPL, same-instant
-//! cross-shard queue pops) fall back deterministically to the sequential
-//! path with the reason recorded in [`ShardedRunResult::fallback`].
+//! cross-shard queue pops), and batches whose placement reaches only one
+//! shard, fall back deterministically to the sequential path with the
+//! reason recorded in [`ShardedRunResult::fallback`].
 
 use crate::driver::{CoordGrant, CoordRequest, Driver};
 use crate::experiment::{ExperimentConfig, RunError};
@@ -197,13 +200,31 @@ fn eligibility(
     }
 }
 
-/// A sensible shard count for `config` on this host: one shard per
+/// A sensible shard cap for `config` on this host: one shard per
 /// partition, capped by available parallelism and 8 (barrier costs grow
 /// with width faster than these closed batches can amortize).
+/// [`run_batch_sharded`] starts threads only for the shards its batch's
+/// t = 0 placement reaches, and runs sequentially when that is one.
 pub fn default_shards(config: &ExperimentConfig) -> usize {
     let parts = config.system_size / config.partition_size.max(1);
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     parts.min(cpus).clamp(1, 8)
+}
+
+/// How many of `jobs` the sequential t = 0 admission places on
+/// `partitions` partitions: it fills every partition up to its execution +
+/// prefetch capacity round-robin (job `i` → partition `i mod P`) and
+/// queues the rest FCFS. The MPL defaults to 1 under the static policy and
+/// to unbounded under time-sharing; the driver's default prefetch depth is
+/// 1 (double buffering). Both the shard cut and the leader's precomputed
+/// admission read this one value.
+fn prefill(config: &ExperimentConfig, partitions: usize, jobs: usize) -> usize {
+    let mpl = config.mpl.unwrap_or(match config.policy {
+        PolicyKind::Static => 1,
+        PolicyKind::TimeSharing => usize::MAX,
+    });
+    let cap = mpl.saturating_add(1);
+    jobs.min(partitions.saturating_mul(cap))
 }
 
 /// The sequential path, producing the same observable set as the sharded
@@ -241,10 +262,22 @@ fn run_sequential(
     })
 }
 
-/// Execute one closed-batch run of `config`, sharded over up to `shards`
+/// Execute one closed-batch run of `config`, sharded over at most `shards`
 /// threads when the configuration is eligible ([`shard_eligibility`]);
 /// otherwise run sequentially and record why. The observables are
 /// bit-identical either way.
+///
+/// `shards` is a cap. The t = 0 placement puts job `i` on partition
+/// `i mod P`, so it reaches partitions `0..min(prefill, P)`; under the
+/// contiguous cut ([`ShardPlan::contiguous`]) the shards after the last one
+/// it reaches would get no job. They fold into that last reached shard
+/// ([`ShardPlan::fold_after`]), which then also owns the idle tail, so a
+/// crash on a tail node or a requeue onto a tail partition still has an
+/// owner, and lazy construction builds none of it until then. A batch
+/// larger than the prefill reaches every partition and keeps all `shards`.
+/// When the placement reaches only one shard, or the batch is empty, the
+/// run is sequential and [`ShardedRunResult::fallback`] says so;
+/// [`ShardedRunResult::shards`] is the count actually used.
 pub fn run_batch_sharded(
     config: &ExperimentConfig,
     batch: Vec<JobSpec>,
@@ -259,12 +292,15 @@ pub fn run_batch_sharded(
     if let Err(reason) = eligibility(config, Some(&plan)) {
         return run_sequential(config, plan, batch, Some(reason));
     }
-    let shard_plan = ShardPlan::contiguous(plan.count(), shards);
-    debug_assert!(
-        shard_plan.shards >= 2,
-        "eligibility guarantees at least two partitions"
-    );
-    run_coordinated(config, batch, plan, &shard_plan)
+    let p = plan.count();
+    let prefill = prefill(config, p, batch.len());
+    let reached = prefill.min(p);
+    let cut = ShardPlan::contiguous(p, shards);
+    if reached == 0 || cut.shard_of(reached - 1) == 0 {
+        let reason = "the batch's t = 0 placement reaches at most one shard";
+        return run_sequential(config, plan, batch, Some(reason));
+    }
+    run_coordinated(config, batch, plan, &cut.fold_after(reached - 1), prefill)
 }
 
 /// Build shard `s`'s driver over a machine of only the partitions it owns,
@@ -689,28 +725,20 @@ fn leader_round(
 
 /// The sharded runner: shards pause at global scheduler decisions and a
 /// barrier-round leader serves them in the sequential global order.
+///
+/// The first `prefill` jobs are the sequential t = 0 admission ([`prefill`]):
+/// that prefix (the whole batch under an unbounded MPL) is precomputable,
+/// and the leftovers defer to the leader's queue.
 fn run_coordinated(
     config: &ExperimentConfig,
     batch: Vec<JobSpec>,
     plan: PartitionPlan,
     shard_plan: &ShardPlan,
+    prefill: usize,
 ) -> Result<ShardedRunResult, RunError> {
     let p = plan.count();
     let k = shard_plan.shards;
     let n = batch.len();
-
-    // The sequential t = 0 admission fills every partition up to its
-    // execution + prefetch capacity round-robin (job i → partition
-    // i mod P) and queues the rest FCFS. The prefilled prefix (the whole
-    // batch under an unbounded MPL) is precomputable; the leftovers defer
-    // to the leader's queue.
-    let mpl = config.mpl.unwrap_or(match config.policy {
-        PolicyKind::Static => 1,
-        PolicyKind::TimeSharing => usize::MAX,
-    });
-    // Driver's default prefetch depth is 1 (double buffering).
-    let cap = mpl.saturating_add(1);
-    let prefill = n.min(p.saturating_mul(cap));
 
     // Earliest declared crash per partition: a load completing at or after
     // it on that partition is wasted — the job fails at the completion
@@ -935,9 +963,28 @@ mod tests {
             .collect()
     }
 
+    /// Run `config` over `batch` at `k` shards and assert the observables
+    /// are bit-identical to the sequential run `seq`.
+    fn run_matching(
+        config: &ExperimentConfig,
+        batch: &[JobSpec],
+        k: usize,
+        seq: &ShardedRunResult,
+    ) -> ShardedRunResult {
+        let par = run_batch_sharded(config, batch.to_vec(), k).unwrap();
+        assert_eq!(par.response_times, seq.response_times, "k={k}");
+        assert_eq!(par.makespan, seq.makespan, "k={k}");
+        assert_eq!(par.counters, seq.counters, "k={k}");
+        assert_eq!(par.events, seq.events, "k={k}");
+        assert_eq!(par.fingerprint(), seq.fingerprint(), "k={k}");
+        assert_eq!(par.timings.len(), if par.shards > 1 { par.shards } else { 0 }, "k={k}");
+        par
+    }
+
     /// Assert `config` over `batch` is bit-identical between the
-    /// sequential path and every shard count in `ks`, and return the
-    /// sequential result for further checks.
+    /// sequential path and every shard count in `ks`, each really running
+    /// `min(k, partitions)` shards (the batch must reach every partition),
+    /// and return the sequential result for further checks.
     fn assert_bit_identical(
         config: &ExperimentConfig,
         batch: &[JobSpec],
@@ -947,15 +994,9 @@ mod tests {
         assert_eq!(seq.shards, 1);
         let parts = config.system_size / config.partition_size;
         for &k in ks {
-            let par = run_batch_sharded(config, batch.to_vec(), k).unwrap();
+            let par = run_matching(config, batch, k, &seq);
             assert_eq!(par.fallback, None, "k={k}");
             assert_eq!(par.shards, k.min(parts), "k={k}");
-            assert_eq!(par.response_times, seq.response_times, "k={k}");
-            assert_eq!(par.makespan, seq.makespan, "k={k}");
-            assert_eq!(par.counters, seq.counters, "k={k}");
-            assert_eq!(par.events, seq.events, "k={k}");
-            assert_eq!(par.fingerprint(), seq.fingerprint(), "k={k}");
-            assert_eq!(par.timings.len(), par.shards, "k={k}");
         }
         seq
     }
@@ -1173,6 +1214,98 @@ mod tests {
         assert!(r.fallback.unwrap().contains("gang"));
         let seq = run_batch_sharded(&config, batch, 1).unwrap();
         assert_eq!(r.response_times, seq.response_times);
+    }
+
+    /// Two jobs on four partitions land on partitions 0 and 1, both in
+    /// shard 0 of the K = 2 cut `[0, 0, 1, 1]`; one job at K = 4 reaches
+    /// only shard 0 too. Neither run starts a thread.
+    #[test]
+    fn placement_reaching_one_shard_runs_sequentially() {
+        let config = eligible_config();
+        for (jobs, k) in [(2, 2), (1, 4), (2, 3)] {
+            let batch = chatty_batch(jobs);
+            let seq = run_batch_sharded(&config, batch.clone(), 1).unwrap();
+            let r = run_matching(&config, &batch, k, &seq);
+            assert_eq!(r.shards, 1, "{jobs} jobs at K={k}");
+            assert_eq!(
+                r.fallback,
+                Some("the batch's t = 0 placement reaches at most one shard"),
+                "{jobs} jobs at K={k}"
+            );
+            assert!(r.timings.is_empty());
+        }
+    }
+
+    /// Three jobs on four partitions at K = 4: shards 0, 1 and 2 each get
+    /// one job, and shard 2 also owns the idle partition 3 that shard 3
+    /// would have had. Three jobs on four partitions at K = 2 cut
+    /// `[0, 0, 1, 1]` and reach partition 2, so both shards run and shard
+    /// 1 keeps its own idle partition 3.
+    #[test]
+    fn the_last_reached_shard_owns_the_idle_tail() {
+        let config = eligible_config();
+        let batch = chatty_batch(3);
+        let seq = run_batch_sharded(&config, batch.clone(), 1).unwrap();
+        // (K, owned nodes per shard, built nodes per shard): a shard
+        // builds exactly the partitions its jobs landed on.
+        let cases: [(usize, &[usize], &[usize]); 2] =
+            [(4, &[4, 4, 8], &[4, 4, 4]), (2, &[8, 8], &[8, 4])];
+        for (k, owned, built) in cases {
+            let par = run_matching(&config, &batch, k, &seq);
+            assert_eq!(par.fallback, None, "k={k}");
+            assert_eq!(par.shards, owned.len(), "k={k}");
+            let nodes: Vec<usize> = par.timings.iter().map(|t| t.nodes).collect();
+            assert_eq!(nodes, owned, "k={k}");
+            let made: Vec<usize> = par.timings.iter().map(|t| t.built_nodes).collect();
+            assert_eq!(made, built, "k={k}");
+        }
+    }
+
+    /// Six jobs on eight 4-node partitions reach partitions 0..=5. At
+    /// K = 4 the cut `[0, 0, 1, 1, 2, 2, 3, 3]` folds shard 3 into shard
+    /// 2, which then owns partitions 4..=7; at K = 8 shard 5 owns 5..=7.
+    /// Crashing all of partition 0 while job 0 loads requeues that job
+    /// onto the least-loaded alive partition, the idle partition 6: a
+    /// folded tail partition at K = 4 and 8, and shard 1's own idle one
+    /// at K = 2. The requeue builds it there, so the last shard's built
+    /// prefix reaches partition 6.
+    #[test]
+    fn requeues_onto_the_folded_tail_stay_bit_identical() {
+        let mut config = eight_partition_config(Switching::StoreAndForward);
+        config.machine.faults = FaultPlan {
+            crashes: (0..4)
+                .map(|node| NodeCrash {
+                    node,
+                    at: SimTime(30_000_000),
+                })
+                .collect(),
+            ..FaultPlan::default()
+        };
+        let batch = chatty_batch(6);
+        let seq = run_batch_sharded(&config, batch.clone(), 1).unwrap();
+        assert_eq!(seq.counters.jobs_requeued, 1, "the crash must requeue one job");
+        // (K, shards used, partitions before the last shard's first).
+        for (k, shards, first) in [(2, 2, 4), (4, 3, 4), (8, 6, 5)] {
+            let par = run_matching(&config, &batch, k, &seq);
+            assert_eq!(par.fallback, None, "k={k}");
+            assert_eq!(par.shards, shards, "k={k}");
+            let last = par.timings.last().unwrap();
+            assert_eq!(last.nodes, 4 * (8 - first), "k={k}");
+            assert_eq!(last.built_nodes, 4 * (6 + 1 - first), "k={k}");
+        }
+    }
+
+    #[test]
+    fn empty_batch_runs_sequentially() {
+        let config = eligible_config();
+        let seq = run_batch_sharded(&config, Vec::new(), 1).unwrap();
+        let r = run_matching(&config, &[], 2, &seq);
+        assert_eq!(r.shards, 1);
+        assert_eq!(
+            r.fallback,
+            Some("the batch's t = 0 placement reaches at most one shard")
+        );
+        assert!(r.response_times.is_empty());
     }
 
     #[test]

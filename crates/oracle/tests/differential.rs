@@ -99,6 +99,27 @@ fn differential_sweep_full() {
     }
 }
 
+/// The shards a run of `jobs` jobs under `config` uses at cap `k`, read
+/// off the placement: the t = 0 admission puts job `i` on partition
+/// `i mod P` until each partition holds MPL + 1 jobs (MPL 1 under the
+/// static policy and unbounded under time-sharing unless capped), and of
+/// the contiguous `k`-cut only the shards holding a placed job run.
+fn shards_reached(config: &parsched_core::ExperimentConfig, jobs: usize, k: usize) -> usize {
+    use parsched_core::PolicyKind;
+    use parsched_topology::ShardPlan;
+    let parts = config.system_size / config.partition_size;
+    let per_partition = match (config.mpl, config.policy) {
+        (Some(mpl), _) => mpl + 1,
+        (None, PolicyKind::Static) => 2,
+        (None, PolicyKind::TimeSharing) => usize::MAX,
+    };
+    let placed = jobs.min(parts.saturating_mul(per_partition));
+    let cut = ShardPlan::contiguous(parts, k);
+    let mut used: Vec<usize> = (0..placed.min(parts)).map(|q| cut.shard_of(q)).collect();
+    used.dedup();
+    used.len().max(1)
+}
+
 /// The invariant checkers hold on randomized scenarios too, not just the
 /// handpicked integration configurations: every closed-batch case in one
 /// cross-product pass runs instrumented and must satisfy conservation,
@@ -106,12 +127,15 @@ fn differential_sweep_full() {
 /// Shard-count invariance: an eligible scenario produces bit-identical
 /// observables at every shard count K ∈ {1, 2, 4, 8}, and every sharded
 /// run is deterministic across thread interleavings (each K runs twice
-/// and the fingerprints must agree).
+/// and the fingerprints must agree). Each run uses exactly the shards its
+/// placement reaches ([`shards_reached`]), and at least three checked
+/// cases really shard at K = 2.
 #[test]
 fn sharded_runs_are_bit_identical_across_shard_counts() {
     use parsched_core::{run_batch_sharded, shard_eligibility};
     let seed = env_u64("ORACLE_SEED").unwrap_or(DEFAULT_SEED);
     let mut checked = 0;
+    let mut sharded_at_two = 0;
     for case in 0..96 {
         let scenario = Scenario::generate(seed, case);
         let config = scenario.config();
@@ -122,11 +146,16 @@ fn sharded_runs_are_bit_identical_across_shard_counts() {
         let seq = run_batch_sharded(&config, batch.clone(), 1)
             .unwrap_or_else(|e| panic!("{e}\n{}", scenario.describe()));
         for k in [2usize, 4, 8] {
+            let want = shards_reached(&config, batch.len(), k);
+            if k == 2 && want > 1 {
+                sharded_at_two += 1;
+            }
             let mut fingerprints = Vec::new();
             for pass in 0..2 {
                 let par = run_batch_sharded(&config, batch.clone(), k)
                     .unwrap_or_else(|e| panic!("{e}\n{}", scenario.describe()));
-                assert!(par.shards > 1, "eligible case must actually shard");
+                assert_eq!(par.shards, want, "K={k}\n{}", scenario.describe());
+                assert_eq!(par.fallback.is_none(), want > 1, "K={k}: {:?}", par.fallback);
                 assert_eq!(
                     par.response_times,
                     seq.response_times,
@@ -152,6 +181,7 @@ fn sharded_runs_are_bit_identical_across_shard_counts() {
         }
     }
     assert!(checked >= 3, "too few eligible scenarios: {checked}");
+    assert!(sharded_at_two >= 3, "too few cases shard at K = 2: {sharded_at_two}");
 }
 
 /// Targeted coverage for the widened shard-eligibility gate: every
@@ -162,6 +192,9 @@ fn sharded_runs_are_bit_identical_across_shard_counts() {
 /// Hand-built scenarios, not sweep draws, so the coverage holds on every
 /// `cargo test` regardless of the dice: a 16-node linear machine in eight
 /// 2-node partitions, so even K = 8 cuts along real partition boundaries.
+/// The six jobs land on partitions 0..=5, so the cuts `[0,0,0,0,1,1,1,1]`,
+/// `[0,0,1,1,2,2,3,3]` and one partition per shard run 2, 3 and 6 shards
+/// at K = 2, 4 and 8, the last of them also owning the idle partitions.
 #[test]
 fn coordinated_classes_shard_bit_identically() {
     use parsched_core::{shard_eligibility, Discipline, Placement};
@@ -197,7 +230,7 @@ fn coordinated_classes_shard_bit_identically() {
         ("flaky-link fault plan", PolicyClass::Hybrid, None, flaky_plan),
     ];
     for (what, class, mpl, faults) in classes {
-        for shards in [2usize, 4, 8] {
+        for (shards, used) in [(2usize, 2usize), (4, 3), (8, 6)] {
             let scenario = Scenario {
                 case: 9000 + shards as u64, // marks hand-built cases in reports
                 seed: 0,
@@ -242,7 +275,7 @@ fn coordinated_classes_shard_bit_identically() {
             )
             .unwrap_or_else(|e| panic!("{what} at K={shards}: {e}"));
             assert_eq!(par.fallback, None, "{what} at K={shards} fell back");
-            assert_eq!(par.shards, shards, "{what} at K={shards}");
+            assert_eq!(par.shards, used, "{what} at K={shards}");
         }
     }
 }

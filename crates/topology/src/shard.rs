@@ -12,7 +12,9 @@
 //!
 //! Shards are contiguous runs of partitions with near-equal partition
 //! counts, so the assignment is a pure function of `(partitions, shards)` —
-//! reproducibility never depends on a hash order.
+//! reproducibility never depends on a hash order. [`ShardPlan::fold_after`]
+//! then lets the last shard a run's jobs reach absorb the idle shards
+//! after it, keeping the cut contiguous.
 
 /// An assignment of a plan's partitions to `K` simulation shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,6 +49,21 @@ impl ShardPlan {
             of_partition,
             shards: k,
         }
+    }
+
+    /// Fold every shard after the one owning partition `last` into that
+    /// shard: the plan keeps shards `0..=shard_of(last)` and the last of
+    /// them also owns every partition after `last`. The cut stays
+    /// contiguous, so each partition still has exactly one owner; folding
+    /// after a partition of the last shard changes nothing.
+    ///
+    /// # Panics
+    /// Panics when `last` is not a partition of the plan.
+    pub fn fold_after(mut self, last: usize) -> ShardPlan {
+        let owner = self.of_partition[last];
+        self.of_partition[last..].fill(owner);
+        self.shards = owner + 1;
+        self
     }
 
     /// Number of partitions covered by the plan.
@@ -106,6 +123,48 @@ mod tests {
         let plan = ShardPlan::contiguous(5, 1);
         assert_eq!(plan.of_partition, vec![0; 5]);
         assert_eq!(plan.partitions_of(0), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn folding_merges_the_tail_into_the_last_kept_shard() {
+        // [0,0,1,1,2,2,3,3]: partition 3 is shard 1's, so shards 2 and 3
+        // join shard 1.
+        let plan = ShardPlan::contiguous(8, 4).fold_after(3);
+        assert_eq!(plan.shards, 2);
+        assert_eq!(plan.of_partition, vec![0, 0, 1, 1, 1, 1, 1, 1]);
+        assert_eq!(plan.range_of(1), 2..8);
+        // Folding after the first partition leaves one shard.
+        let plan = ShardPlan::contiguous(7, 3).fold_after(0);
+        assert_eq!(plan.shards, 1);
+        assert_eq!(plan.of_partition, vec![0; 7]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn folding_past_the_plan_panics() {
+        let _ = ShardPlan::contiguous(4, 2).fold_after(4);
+    }
+
+    #[test]
+    fn folded_plans_stay_contiguous_and_keep_every_partition() {
+        for parts in 1..20 {
+            for k in 1..10 {
+                let whole = ShardPlan::contiguous(parts, k);
+                for last in 0..parts {
+                    let plan = whole.clone().fold_after(last);
+                    assert_eq!(plan.partitions(), parts);
+                    // Up to `last`, the cut is the contiguous one.
+                    assert_eq!(plan.of_partition[..=last], whole.of_partition[..=last]);
+                    assert_eq!(plan.shards, whole.shard_of(last) + 1);
+                    let covered: usize = (0..plan.shards).map(|s| plan.range_of(s).len()).sum();
+                    assert_eq!(covered, parts);
+                    assert_eq!(plan.range_of(plan.shards - 1).end, parts);
+                    if plan.shards == whole.shards {
+                        assert_eq!(plan, whole, "folding in the last shard changes nothing");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

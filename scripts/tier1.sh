@@ -7,19 +7,22 @@
 # policy class, run twice with the oracle's invariant checkers on and
 # bit-identical replay asserted), a sharded-execution smoke gate (one
 # K = 2 run per eligibility class — uncoordinated time-sharing, static,
-# hybrid MPL-2, MPL-capped static, crash + flaky-link fault plan, and a
-# 4096-node torus — each bit-identical to sequential and rerun
-# deterministically, with ineligible configs falling back with a
-# reason), a wormhole smoke gate (one bit-identical K = 2 flit-switched
-# case per topology family — torus, fat-tree, dragonfly — inside
-# `shards --smoke`), an open-system smoke gate (Poisson and heavy-tailed
+# hybrid MPL-2, MPL-capped static, crash + flaky-link fault plan — each
+# bit-identical to sequential and rerun deterministically; 8-job batches
+# on a 4096-node torus, the 65 792-node SAF torus and one flit-switched
+# t4k case per topology family must collapse to one shard with the
+# reason recorded; a 4096-node static torus and a wormhole fat-tree whose
+# batches reach both shards must shard bit-identically; ineligible
+# configs fall back with a reason), an open-system smoke gate (Poisson and heavy-tailed
 # arrival cells per policy class replay bit-identically and the
 # mean-response curve is monotone in offered load), and a trace-export
 # smoke run. The perf golden check also pins the shard_scale_* cells,
 # the 1024-node t1k_* cells, and the ~4096-node t4k_* wormhole-vs-
 # store-and-forward cells, asserting each family's sequential/2-shard/
 # 4-shard goldens are bit-equal, so sharded simulated results are gated
-# there too. A 16k-node smoke gate (`scale --smoke`) constructs and
+# there too. The repository benchmark then runs once at full size
+# (`benchmark --workload all --seed 88 --seconds 1`): its oracle check of
+# every workload and its default-shards-equals-K = 1 check gate here. A 16k-node smoke gate (`scale --smoke`) constructs and
 # routes a 128x128 torus, runs one short wormhole batch at 16 384 nodes,
 # and drives an observed run on a 70 225-node machine whose traffic must
 # cross the old 65 536 node-index ceiling — no goldens, just the widened
@@ -57,6 +60,12 @@ cargo build --release --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace
 cargo run --release -p parsched-bench --bin perf -- --check --quick
+# The repository benchmark's own verification at full size: every
+# workload's cells must match the differential oracle bit for bit, and
+# saf64k's default shard count must reproduce K = 1. One second of timing
+# per workload; the numbers are not gated here.
+cargo run --release -p parsched-bench --bin benchmark -- \
+    --workload all --seed 88 --seconds 1 --trace 0
 cargo run --release -p parsched-bench --bin faults -- --smoke
 cargo run --release -p parsched-bench --bin shards -- --smoke
 cargo run --release -p parsched-bench --bin arrivals -- --smoke
