@@ -69,7 +69,7 @@ pub mod prelude {
     pub use crate::order::{Cursor, Key};
     pub use crate::queue::{BinaryHeapQueue, Scheduled};
     pub use crate::rng::DetRng;
-    pub use crate::stats::{percentile, Histogram, Summary, TimeWeighted, Welford};
+    pub use crate::stats::{percentile, BusyTime, Histogram, Summary, TimeWeighted, Welford};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::trace::{Trace, TraceRecord};
 }

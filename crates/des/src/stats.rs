@@ -2,8 +2,9 @@
 //!
 //! Everything a scheduling experiment needs to summarize its observations:
 //! streaming mean/variance (Welford), fixed-bin histograms with quantile
-//! estimates, time-weighted averages for utilizations and queue lengths, and
-//! batch-means confidence intervals.
+//! estimates, time-weighted averages for queue lengths and memory in use,
+//! exact integer busy time for 0/1 utilization signals, and batch-means
+//! confidence intervals.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -215,7 +216,8 @@ impl Histogram {
 }
 
 /// Time-weighted average of a piecewise-constant signal (queue length,
-/// busy/idle state, memory in use, ...).
+/// memory in use, ...). A 0/1 busy signal uses [`BusyTime`], whose sum
+/// is exact.
 ///
 /// ```
 /// use parsched_des::stats::TimeWeighted;
@@ -283,6 +285,82 @@ impl TimeWeighted {
         let sum = self.weighted_sum
             + self.last_value * now.saturating_since(self.last_time).as_secs_f64();
         sum / total
+    }
+}
+
+/// Exact busy time of a 0/1 signal (a CPU running, a link carrying a
+/// flit), in integer nanoseconds.
+///
+/// An integer sum does not depend on how its pieces were cut, so any
+/// sequence of `set` calls that describes the same busy intervals gives
+/// the same total: turning on while on adds nothing, and an off/on pair
+/// at one instant adds nothing. The mean is one division at capture.
+///
+/// ```
+/// use parsched_des::stats::BusyTime;
+/// use parsched_des::SimTime;
+///
+/// let mut link = BusyTime::new(SimTime::ZERO);
+/// link.set(SimTime(10), true);
+/// link.set(SimTime(25), false);
+/// link.set(SimTime(25), true); // a park and restart in one instant
+/// link.set(SimTime(30), false);
+/// assert_eq!(link.busy_ns(SimTime(40)), 20);
+/// assert_eq!(link.mean(SimTime(40)), 0.5);
+/// ```
+#[derive(Debug, Clone)]
+pub struct BusyTime {
+    start: SimTime,
+    last: SimTime,
+    busy_ns: u64,
+    on: bool,
+}
+
+impl BusyTime {
+    /// An idle signal from `t0`.
+    pub fn new(t0: SimTime) -> Self {
+        BusyTime {
+            start: t0,
+            last: t0,
+            busy_ns: 0,
+            on: false,
+        }
+    }
+
+    /// The signal turns on (`true`) or off at time `now`.
+    #[inline]
+    pub fn set(&mut self, now: SimTime, on: bool) {
+        debug_assert!(now >= self.last, "BusyTime: time ran backwards");
+        if self.on {
+            self.busy_ns += now.saturating_since(self.last).nanos();
+        }
+        self.last = now;
+        self.on = on;
+    }
+
+    /// True while the signal is on.
+    pub fn is_on(&self) -> bool {
+        self.on
+    }
+
+    /// Nanoseconds on over `[t0, at]`.
+    pub fn busy_ns(&self, at: SimTime) -> u64 {
+        let open = if self.on {
+            at.saturating_since(self.last).nanos()
+        } else {
+            0
+        };
+        self.busy_ns + open
+    }
+
+    /// Fraction of `[t0, at]` spent on (the current bit for an empty
+    /// interval).
+    pub fn mean(&self, at: SimTime) -> f64 {
+        let span = at.saturating_since(self.start).nanos();
+        if span == 0 {
+            return f64::from(u8::from(self.on));
+        }
+        self.busy_ns(at) as f64 / span as f64
     }
 }
 
@@ -494,6 +572,113 @@ mod tests {
         // Signal: 0 on [0,1), 1 on [1,2), 2 on [2,3), 0 on [3,4) => mean 0.75.
         let mean = tw.mean(SimTime(4_000_000_000));
         assert!((mean - 0.75).abs() < 1e-9, "mean {mean}");
+    }
+
+    /// Busy on `[100, 900)` and `[1200, 1500)`, with every interval cut at
+    /// `cuts` by a repeated "on" or an off/on pair at one instant.
+    fn two_busy_intervals(cuts: &[u64], pair: bool) -> BusyTime {
+        let mut b = BusyTime::new(SimTime(50));
+        for (from, to) in [(100, 900), (1200, 1500)] {
+            b.set(SimTime(from), true);
+            for &c in cuts.iter().filter(|&&c| from < c && c < to) {
+                if pair {
+                    b.set(SimTime(c), false);
+                }
+                b.set(SimTime(c), true);
+            }
+            b.set(SimTime(to), false);
+        }
+        b
+    }
+
+    #[test]
+    fn busy_time_does_not_depend_on_how_the_intervals_are_cut() {
+        let whole = two_busy_intervals(&[], false);
+        assert_eq!(whole.busy_ns(SimTime(2000)), 800 + 300);
+        let mut x = 0x9E37_79B9u64;
+        for n in [1, 2, 7, 64, 500] {
+            let mut cuts: Vec<u64> = (0..n)
+                .map(|_| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    100 + (x >> 33) % 1400
+                })
+                .collect();
+            cuts.sort_unstable();
+            for pair in [false, true] {
+                let cut = two_busy_intervals(&cuts, pair);
+                assert_eq!(
+                    cut.busy_ns(SimTime(2000)),
+                    whole.busy_ns(SimTime(2000)),
+                    "{n} cuts"
+                );
+                assert_eq!(
+                    cut.mean(SimTime(2000)).to_bits(),
+                    whole.mean(SimTime(2000)).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_repeated_on_adds_nothing() {
+        let mut b = BusyTime::new(SimTime::ZERO);
+        b.set(SimTime(10), true);
+        let before = b.busy_ns(SimTime(40));
+        b.set(SimTime(25), true);
+        b.set(SimTime(25), true);
+        assert!(b.is_on());
+        assert_eq!(b.busy_ns(SimTime(40)), before);
+        assert_eq!(b.busy_ns(SimTime(40)), 30);
+        // Turning off while off adds nothing either.
+        b.set(SimTime(40), false);
+        b.set(SimTime(60), false);
+        assert_eq!(b.busy_ns(SimTime(80)), 30);
+    }
+
+    #[test]
+    fn an_off_on_pair_at_one_instant_adds_nothing() {
+        let mut b = BusyTime::new(SimTime::ZERO);
+        b.set(SimTime(10), true);
+        let before = b.busy_ns(SimTime(50));
+        b.set(SimTime(30), false);
+        b.set(SimTime(30), true);
+        assert_eq!(b.busy_ns(SimTime(50)), before);
+        // And an on/off pair while off adds nothing.
+        b.set(SimTime(50), false);
+        b.set(SimTime(60), true);
+        b.set(SimTime(60), false);
+        assert_eq!(b.busy_ns(SimTime(70)), 40);
+    }
+
+    #[test]
+    fn a_zero_span_returns_the_current_bit() {
+        let mut b = BusyTime::new(SimTime(7));
+        assert_eq!(b.mean(SimTime(7)), 0.0);
+        b.set(SimTime(7), true);
+        assert_eq!(b.mean(SimTime(7)), 1.0);
+        // A capture before the start is an empty interval too.
+        assert_eq!(b.mean(SimTime(3)), 1.0);
+    }
+
+    #[test]
+    fn the_mean_is_busy_time_over_the_span_exactly() {
+        let mut b = BusyTime::new(SimTime(1_000));
+        b.set(SimTime(1_003), true);
+        b.set(SimTime(1_010), false);
+        b.set(SimTime(1_011), true);
+        for at in [1_001u64, 1_005, 1_010, 1_011, 1_013, 4_567, 1 << 40] {
+            let span = at - 1_000;
+            let busy = b.busy_ns(SimTime(at));
+            assert_eq!(
+                b.mean(SimTime(at)).to_bits(),
+                (busy as f64 / span as f64).to_bits(),
+                "at {at}"
+            );
+        }
+        assert_eq!(b.busy_ns(SimTime(1_013)), 7 + 2);
+        assert_eq!(b.mean(SimTime(1_030)), 26.0 / 30.0);
     }
 
     #[test]

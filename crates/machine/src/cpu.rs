@@ -14,7 +14,7 @@
 
 use crate::net::MsgId;
 use crate::process::ProcKey;
-use parsched_des::{SimTime, TimeWeighted, TimerHandle};
+use parsched_des::{BusyTime, SimTime, TimerHandle};
 use std::collections::VecDeque;
 
 /// What a high-priority handler does once its CPU cost has been paid.
@@ -81,8 +81,8 @@ pub struct Cpu {
     /// instead of firing and being discarded; the `seq` check stays as a
     /// correctness backstop.
     pub slice_timer: Option<TimerHandle>,
-    /// Busy (1.0) / idle (0.0) signal for utilization statistics.
-    pub busy: TimeWeighted,
+    /// Busy/idle signal for utilization statistics.
+    pub busy: BusyTime,
     /// Low-priority dispatches performed.
     pub ctx_switches: u64,
     /// Handler executions.
@@ -104,7 +104,7 @@ impl Cpu {
             hold: false,
             seq: 0,
             slice_timer: None,
-            busy: TimeWeighted::new(t0, 0.0),
+            busy: BusyTime::new(t0),
             ctx_switches: 0,
             handler_runs: 0,
             quantum_expiries: 0,

@@ -6,7 +6,7 @@
 
 use crate::process::JobId;
 use crate::program::{Rank, Tag};
-use parsched_des::{SimTime, TimeWeighted};
+use parsched_des::{BusyTime, SimTime};
 use std::collections::VecDeque;
 
 /// Machine-wide message identifier (index into the message table).
@@ -111,7 +111,7 @@ pub struct ChannelState {
     /// FIFO of messages waiting for the channel.
     pub queue: VecDeque<MsgId>,
     /// Busy/idle signal for utilization statistics.
-    pub busy: TimeWeighted,
+    pub busy: BusyTime,
     /// Total payload bytes carried.
     pub bytes_carried: u64,
     /// Transfers completed.
@@ -134,7 +134,7 @@ impl ChannelState {
             to,
             busy_with: None,
             queue: VecDeque::new(),
-            busy: TimeWeighted::new(t0, 0.0),
+            busy: BusyTime::new(t0),
             bytes_carried: 0,
             transfers: 0,
             up: true,

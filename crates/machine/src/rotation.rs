@@ -14,11 +14,13 @@
 //! the global event order: the skipped boundaries the run has passed are
 //! replayed exactly — per-process `remaining` and `cpu_time`, the CPU's
 //! dispatch seq, `ctx_switches` and `quantum_expiries`, the ready-queue
-//! rotation, and the `busy` signal one `set` per boundary, because a sum of
-//! f64 pieces is not one product. A read settles in place and the window
-//! goes on; a change (a handler, a wakeup, a quantum, a park, a fault)
-//! hands the node back to the slice-by-slice path with the current slice's
-//! timer armed at the key the reference would have given it.
+//! rotation, and the `busy` signal. `busy` stays on through a window and
+//! sums integer nanoseconds, so one `set` at the last boundary passed
+//! leaves it as the slices' own `set`s do, and a settle costs the same
+//! however many boundaries it passes. A read settles in place and the
+//! window goes on; a change (a handler, a wakeup, a quantum, a park, a
+//! fault) hands the node back to the slice-by-slice path with the current
+//! slice's timer armed at the key the reference would have given it.
 //!
 //! # Where a skipped boundary sits in the event order
 //!
@@ -447,7 +449,8 @@ impl Machine {
 
     /// Replay boundaries `applied + 1 ..= j` of `node`'s window into the
     /// CPU and process state, exactly as the slice-by-slice path leaves
-    /// it, and count them as processed events.
+    /// it, and count them as processed events. The cost does not grow
+    /// with `j − applied`.
     fn replay(&mut self, node: u32, j: u64, sched: &mut impl EventScheduler<Event>) {
         let w = self.cpu_express.windows[node as usize]
             .as_mut()
@@ -475,11 +478,9 @@ impl Machine {
             p.cpu_time += used;
             p.state = PState::Ready;
         }
-        // One `busy.set(B(b), 1.0)` per boundary, as the slice-by-slice
-        // path does.
-        for b in a + 1..=j {
-            cpu.busy.set(w.boundary(b), 1.0);
-        }
+        // The slice path turns `busy` on at every boundary while it is
+        // already on; only the last one moves its state.
+        cpu.busy.set(w.boundary(j), true);
         let passed = j - a;
         cpu.quantum_expiries += passed;
         cpu.ctx_switches += passed;

@@ -1395,7 +1395,7 @@ impl Machine {
                 seq,
             });
             cpu.handler_runs += 1;
-            cpu.busy.set(now, 1.0);
+            cpu.busy.set(now, true);
             cpu.slice_timer = Some(sched.schedule_timer_at(end, Event::SliceEnd { node, seq }));
             self.note_cpu_busy(node, now, 1.0);
             let (HandlerAction::HopArrived(msg) | HandlerAction::PacketRelay(msg)) =
@@ -1404,7 +1404,7 @@ impl Machine {
             return;
         }
         let Some(pk) = cpu.low.pop_front() else {
-            cpu.busy.set(now, 0.0);
+            cpu.busy.set(now, false);
             self.note_cpu_busy(node, now, 0.0);
             return;
         };
@@ -1426,7 +1426,7 @@ impl Machine {
             quantum_end,
             seq,
         });
-        cpu.busy.set(now, 1.0);
+        cpu.busy.set(now, true);
         let timer = self.arm_low_slice(node, end, sched);
         self.nodes[node as usize].cpu.slice_timer = Some(timer);
         self.note_cpu_busy(node, now, 1.0);
@@ -1866,7 +1866,7 @@ impl Machine {
         let ch = &mut self.channels[chan];
         debug_assert!(ch.busy_with.is_none());
         ch.busy_with = Some(msg);
-        ch.busy.set(now, 1.0);
+        ch.busy.set(now, true);
         let dur = self.cfg.transfer_time(bytes);
         sched.schedule(dur, Event::TransferDone { chan: chan as u32 });
         self.note_link_busy(chan as u32, now, 1.0);
@@ -1897,7 +1897,7 @@ impl Machine {
         let msg = {
             let ch = &mut self.channels[chan];
             let msg = ch.busy_with.take().expect("TransferDone on idle channel");
-            ch.busy.set(now, 0.0);
+            ch.busy.set(now, false);
             ch.transfers += 1;
             msg
         };
@@ -2367,7 +2367,7 @@ impl Machine {
     /// Apply, in hop order, what the flit ticks of an express worm that
     /// started at `t0` did through flit step `j`: link cursors, credits,
     /// flits, VC grants, completed hops with their drop-lottery draws,
-    /// message cursors, round-robin cursors and the link busy gauges. The
+    /// message cursors, round-robin cursors and the link busy signals. The
     /// source-buffer release and the VC tables are the caller's.
     fn apply_express_progress(&mut self, msg: MsgId, t0: SimTime, j: u64) {
         let wh = self.wormhole.as_mut().expect("wormhole state");
@@ -2532,7 +2532,7 @@ impl Machine {
         let wh = self.wormhole.as_mut().expect("wormhole state");
         wh.chans[chan].ticking = true;
         let dt = wh.flit_time;
-        self.channels[chan].busy.set(now, 1.0);
+        self.channels[chan].busy.set(now, true);
         self.note_link_busy(chan as u32, now, 1.0);
         sched.schedule(dt, Event::FlitTick { chan: chan as u32 });
     }
@@ -2541,7 +2541,7 @@ impl Machine {
     /// — a credit return, a VC grant, a link-up — re-arms it.
     fn stop_flit_ticking(&mut self, chan: usize, now: SimTime) {
         self.wormhole.as_mut().expect("wormhole state").chans[chan].ticking = false;
-        self.channels[chan].busy.set(now, 0.0);
+        self.channels[chan].busy.set(now, false);
         self.note_link_busy(chan as u32, now, 0.0);
     }
 

@@ -28,7 +28,7 @@ use crate::config::MachineConfig;
 use crate::net::MsgId;
 use crate::process::JobId;
 use crate::wiring::SystemNet;
-use parsched_des::{SimDuration, SimTime, TimeWeighted, TimerHandle};
+use parsched_des::{BusyTime, SimDuration, SimTime, TimerHandle};
 use parsched_topology::vc_class_count;
 use std::collections::VecDeque;
 
@@ -115,16 +115,16 @@ pub(crate) fn progress(j: u64, i: usize, len: usize, flits: u64) -> (u64, bool, 
     (sent(i), granted, held)
 }
 
-/// Replay the `busy` gauge updates the flit path makes on route link `i`
-/// through flit step `j`, starting at `t0` with flit time `ft`. Link 0
+/// Replay onto route link `i`'s `busy` signal what the flit path does to
+/// it through flit step `j`, starting at `t0` with flit time `ft`. Link 0
 /// streams without a pause from its grant to its tail. Every later link
 /// turns on when the head arrives, parks after each flit (the next one
 /// arrives later in the same instant) and is restarted by its upstream
-/// neighbour's tick at once, and turns off after its tail. The replay
-/// performs the identical `set` sequence, so the gauge's floating-point
-/// sum is bit-identical to the flit path's.
+/// neighbour's tick at once, and turns off after its tail. Busy time is
+/// an integer sum and each park/restart pair falls in one instant, so on
+/// at the head and off at the tail give the same busy time on every link.
 pub(crate) fn replay_busy(
-    busy: &mut TimeWeighted,
+    busy: &mut BusyTime,
     t0: SimTime,
     ft: SimDuration,
     i: u64,
@@ -132,23 +132,12 @@ pub(crate) fn replay_busy(
     j: u64,
 ) {
     let at = |s: u64| t0 + ft * s;
-    if i == 0 {
-        busy.set(at(0), 1.0);
-        if j >= flits {
-            busy.set(at(flits), 0.0);
-        }
-        return;
-    }
     if j < i {
         return;
     }
-    busy.set(at(i), 1.0);
-    for s in i + 1..(i + flits).min(j + 1) {
-        busy.set(at(s), 0.0);
-        busy.set(at(s), 1.0);
-    }
+    busy.set(at(i), true);
     if j >= i + flits {
-        busy.set(at(i + flits), 0.0);
+        busy.set(at(i + flits), false);
     }
 }
 
@@ -501,28 +490,62 @@ mod tests {
         assert_eq!(at(6), [(4, true, false), (4, true, false), (4, true, true)]);
     }
 
+    /// The `busy` updates the flit ticks make on route link `i` through
+    /// flit step `j`: link 0 streams, every later link parks and restarts
+    /// after each flit.
+    fn flit_by_flit(busy: &mut BusyTime, t0: SimTime, ft: SimDuration, i: u64, flits: u64, j: u64) {
+        let at = |s: u64| t0 + ft * s;
+        if j < i {
+            return;
+        }
+        busy.set(at(i), true);
+        if i > 0 {
+            for s in i + 1..(i + flits).min(j + 1) {
+                busy.set(at(s), false);
+                busy.set(at(s), true);
+            }
+        }
+        if j >= i + flits {
+            busy.set(at(i + flits), false);
+        }
+    }
+
     #[test]
     fn busy_replay_matches_the_flit_ticks() {
-        let t0 = SimTime::ZERO;
+        let t0 = SimTime(1_000);
         let ft = SimDuration::from_nanos(10);
-        let end = t0 + ft * 10;
-        // Link 0 streams flits 1..=4 over steps 0..4; link 2 is busy from
-        // the head's arrival at step 2 to its tail at step 6.
-        for (i, busy_from, busy_to) in [(0u64, 0u64, 4u64), (2, 2, 6)] {
-            let mut g = TimeWeighted::new(t0, 0.0);
-            replay_busy(&mut g, t0, ft, i, 4, 6);
-            assert_eq!(g.current(), 0.0);
-            assert_eq!(g.peak(), 1.0);
-            let expect = (busy_to - busy_from) as f64 / 10.0;
-            assert!((g.mean(end) - expect).abs() < 1e-12, "link {i}");
+        let flits = 4;
+        for i in 0..4u64 {
+            for j in 0..=i + flits + 1 {
+                let mut replayed = BusyTime::new(SimTime::ZERO);
+                replay_busy(&mut replayed, t0, ft, i, flits, j);
+                let mut ticked = BusyTime::new(SimTime::ZERO);
+                flit_by_flit(&mut ticked, t0, ft, i, flits, j);
+                let here = format!("link {i}, step {j}");
+                assert_eq!(replayed.is_on(), ticked.is_on(), "{here}");
+                assert_eq!(replayed.is_on(), (i..i + flits).contains(&j), "{here}");
+                for at in [t0 + ft * j, t0 + ft * (j + 3)] {
+                    assert_eq!(replayed.busy_ns(at), ticked.busy_ns(at), "{here} at {at:?}");
+                }
+                // The flit path goes on from step j: both agree after it.
+                let later = t0 + ft * (j + 2);
+                replayed.set(later, false);
+                ticked.set(later, false);
+                assert_eq!(
+                    replayed.busy_ns(later),
+                    ticked.busy_ns(later),
+                    "{here}, then off"
+                );
+            }
+            // A whole worm keeps link i busy for exactly its flits.
+            let mut g = BusyTime::new(SimTime::ZERO);
+            replay_busy(&mut g, t0, ft, i, flits, i + flits);
+            assert_eq!(
+                g.busy_ns(SimTime(u64::MAX / 2)),
+                flits * ft.nanos(),
+                "link {i}"
+            );
         }
-        // Mid-flight, link 2 is on and about to move its next flit.
-        let mut g = TimeWeighted::new(t0, 0.0);
-        replay_busy(&mut g, t0, ft, 2, 4, 3);
-        assert_eq!(g.current(), 1.0);
-        let mut g = TimeWeighted::new(t0, 0.0);
-        replay_busy(&mut g, t0, ft, 2, 4, 1);
-        assert_eq!(g.peak(), 0.0, "the head has not reached link 2");
     }
 
     #[test]

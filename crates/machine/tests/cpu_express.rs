@@ -5,16 +5,18 @@
 //! [`Machine::set_slice_reference`], where every slice is an event — and
 //! demands the same response times, process accounting, counters,
 //! [`MachineStats`] (f64 fields bit for bit, through their `Debug` text),
-//! events processed and mid-run reads. Each case also asserts the express
-//! path did what it is there to exercise: one case per settle reason, a
-//! lone process, unequal quanta, and same-instant ties in both orders,
+//! events processed and mid-run reads, each with node 0's `busy` signal
+//! as the read leaves it. Each case also asserts the express path did
+//! what it is there to exercise: one case per settle reason, a lone
+//! process, unequal quanta, and same-instant ties in both orders,
 //! including the second-order one where the touching event was itself
-//! scheduled at the previous boundary's instant.
+//! scheduled at the previous boundary's instant. A sweep lands a message
+//! handler at every boundary instant of a window and 1 ns either side.
 
 use parsched_des::prelude::*;
 use parsched_machine::prelude::*;
 use parsched_machine::{CpuExpressStats, SettleReason};
-use parsched_obs::{CollectRecorder, ObsEvent, QuantumEndReason};
+use parsched_obs::{CollectRecorder, ObsEvent, QuantumEndReason, TimedEvent};
 use parsched_topology::build;
 
 /// What a `PolicyTick { token }` does: `actions[token]`.
@@ -35,7 +37,8 @@ struct Harness {
     m: Machine,
     jobs: Vec<JobId>,
     actions: Vec<Action>,
-    reads: Vec<(SimTime, SimDuration)>,
+    /// `(instant, remaining demand, node 0's busy signal)` per read.
+    reads: Vec<(SimTime, SimDuration, String)>,
 }
 
 impl Model for Harness {
@@ -51,7 +54,8 @@ impl Model for Harness {
             Action::Quantum(j, q) => self.m.set_job_quantum(self.jobs[j], q, sched),
             Action::Read(j) => {
                 let left = self.m.job_remaining(self.jobs[j], sched);
-                self.reads.push((now, left));
+                let busy = format!("{:?}", self.m.node(0).cpu.busy);
+                self.reads.push((now, left, busy));
             }
             Action::Active(j, on) => self.m.set_job_active(self.jobs[j], on, now, sched),
             Action::Then(delay, next) => sched.schedule(delay, Event::PolicyTick { token: next }),
@@ -84,7 +88,7 @@ struct Outcome {
     counters: Counters,
     stats: String,
     events: u64,
-    reads: Vec<(SimTime, SimDuration)>,
+    reads: Vec<(SimTime, SimDuration, String)>,
     now: SimTime,
 }
 
@@ -191,14 +195,22 @@ impl Case {
         stats
     }
 
-    /// The instants on node 0 where a slice ended for `why`, from an
-    /// observed slice-by-slice run.
-    fn quantum_ends(&self, why: QuantumEndReason) -> Vec<SimTime> {
+    /// Every event of an observed slice-by-slice run.
+    fn observed(&self) -> Vec<TimedEvent> {
         let (mut h, mut engine) = self.machine(true, true);
         engine.run(&mut h);
         let mut rec = h.m.recorder.take().expect("installed");
-        let rec = rec.as_any_mut().downcast_mut::<CollectRecorder>().expect("collector");
-        rec.events()
+        let rec = rec
+            .as_any_mut()
+            .downcast_mut::<CollectRecorder>()
+            .expect("collector");
+        rec.take_events()
+    }
+
+    /// The instants on node 0 where a slice ended for `why`, from an
+    /// observed slice-by-slice run.
+    fn quantum_ends(&self, why: QuantumEndReason) -> Vec<SimTime> {
+        self.observed()
             .iter()
             .filter(|e| matches!(e.1, ObsEvent::QuantumEnd { node: 0, reason, .. } if reason == why))
             .map(|e| e.0)
@@ -304,7 +316,7 @@ fn a_remaining_demand_read_sees_the_reference_value() {
     assert!(settled(&stats, SettleReason::Read) >= 3, "{stats}");
     let (out, _) = case.run(false);
     assert_eq!(out.reads.len(), 3);
-    assert!(out.reads.iter().all(|&(_, left)| !left.is_zero()));
+    assert!(out.reads.iter().all(|(_, left, _)| !left.is_zero()));
 }
 
 #[test]
@@ -394,4 +406,92 @@ fn a_park_at_the_natural_end_cancels_the_rearmed_timer() {
     case.ticks = vec![(issued, 1), (end + ms(5), 2)];
     let stats = case.check();
     assert!(stats.rearmed > 0 && settled(&stats, SettleReason::Parking) > 0, "{stats}");
+}
+
+/// Node 0 rotates three jobs admitted at 20 ms while rank 1 of a fourth
+/// job, admitted at zero and alone on node 1, computes `c` and sends
+/// `bytes` to rank 0, which waits in `Recv` on node 0: the message's
+/// handler interrupts node 0's rotation. The late admission puts every
+/// boundary of the rotation beyond the shortest send.
+fn interrupted(c: SimDuration, bytes: u64) -> Case {
+    let mut case = Case::rotation(&[(40, 2), (35, 2), (28, 2)]);
+    for job in &mut case.jobs {
+        job.3 = SimTime::ZERO + ms(20);
+    }
+    let pair = JobSpec {
+        name: "pair".into(),
+        ship_bytes: 0,
+        procs: vec![
+            ProcSpec {
+                program: vec![Op::Recv { tag: Tag(1) }],
+                mem_bytes: 1024,
+            },
+            ProcSpec {
+                program: vec![
+                    Op::Compute(c),
+                    Op::Send {
+                        to: Rank(0),
+                        tag: Tag(1),
+                        bytes,
+                    },
+                ],
+                mem_bytes: 1024,
+            },
+        ],
+    };
+    // One slice on node 1, so the send leaves exactly `c` after its start.
+    case.jobs
+        .push((pair, vec![0, 1], SimDuration::from_secs(1), SimTime::ZERO));
+    case
+}
+
+/// When the message's handler starts on node 0, from an observed
+/// slice-by-slice run.
+fn handler_arrival(case: &Case) -> SimTime {
+    case.observed()
+        .iter()
+        .find(|e| matches!(e.1, ObsEvent::HandlerStart { node: 0, .. }))
+        .expect("the message reaches node 0")
+        .0
+}
+
+/// A message handler lands on every boundary instant `B(1) ..= B(m + 1)`
+/// of node 0's first window, and 1 ns either side of each. A small
+/// message is issued within the slice it lands in, so at a boundary the
+/// boundary goes first; a large one is issued two slices earlier, so it
+/// goes first, and at the natural end the window's timer re-arms behind
+/// it. Every settle replays up to exactly the boundary it lands on or
+/// the one before.
+#[test]
+fn an_interrupt_at_every_boundary_of_a_window_matches_the_slice_reference() {
+    // With the message far off, node 0's first window runs undisturbed:
+    // its boundaries are the expiries before the first completion, which
+    // is its natural end.
+    let quiet = interrupted(ms(900), 64);
+    let end = quiet.quantum_ends(QuantumEndReason::Completed)[0];
+    let mut boundaries = quiet.quantum_ends(QuantumEndReason::Expired);
+    boundaries.retain(|&t| t < end);
+    boundaries.push(end);
+    assert!(boundaries.len() > 30, "{} boundaries", boundaries.len());
+    let mut seen = CpuExpressStats::default();
+    let mut cases = 0u64;
+    for bytes in [64, 8_192] {
+        // The handler starts a fixed lag after the send's compute.
+        let lag = |c: SimDuration| handler_arrival(&interrupted(c, bytes)).nanos() - c.nanos();
+        let lag0 = lag(ms(300));
+        assert_eq!(lag0, lag(ms(301) + SimDuration::from_nanos(7)), "{bytes} B");
+        for b in &boundaries {
+            for at in [b.nanos() - 1, b.nanos(), b.nanos() + 1] {
+                let c = SimDuration::from_nanos(at - lag0);
+                seen.absorb(&interrupted(c, bytes).check());
+                cases += 1;
+            }
+        }
+    }
+    assert!(
+        seen.settled[SettleReason::Interrupt as usize] >= cases / 2,
+        "{seen}"
+    );
+    assert!(seen.rearmed > 0, "no natural end re-armed: {seen}");
+    assert!(seen.ties[0] > 0 && seen.ties[1] > 0, "ties {:?}", seen.ties);
 }
