@@ -163,7 +163,10 @@ mod tests {
         cpu.low.push_back(ProcKey(2));
         cpu.low.push_back(ProcKey(1));
         cpu.remove_low(ProcKey(1));
-        assert_eq!(cpu.low.iter().copied().collect::<Vec<_>>(), vec![ProcKey(2)]);
+        assert_eq!(
+            cpu.low.iter().copied().collect::<Vec<_>>(),
+            vec![ProcKey(2)]
+        );
     }
 
     #[test]

@@ -148,13 +148,20 @@ impl FaultPlan {
                 .crashes
                 .iter()
                 .filter(|c| nodes.contains(&c.node))
-                .map(|c| NodeCrash { node: local(c.node), ..*c })
+                .map(|c| NodeCrash {
+                    node: local(c.node),
+                    ..*c
+                })
                 .collect(),
             links: self
                 .links
                 .iter()
                 .filter(|w| nodes.contains(&w.from) && nodes.contains(&w.to))
-                .map(|w| LinkWindow { from: local(w.from), to: local(w.to), ..*w })
+                .map(|w| LinkWindow {
+                    from: local(w.from),
+                    to: local(w.to),
+                    ..*w
+                })
                 .collect(),
             ..self.clone()
         }
@@ -173,11 +180,17 @@ mod tests {
     #[test]
     fn any_fault_source_makes_the_plan_nonempty() {
         let crash = FaultPlan {
-            crashes: vec![NodeCrash { node: 0, at: SimTime(1) }],
+            crashes: vec![NodeCrash {
+                node: 0,
+                at: SimTime(1),
+            }],
             ..FaultPlan::default()
         };
         assert!(!crash.is_empty());
-        let drops = FaultPlan { drop_prob: 0.1, ..FaultPlan::default() };
+        let drops = FaultPlan {
+            drop_prob: 0.1,
+            ..FaultPlan::default()
+        };
         assert!(!drops.is_empty());
         let mailbox = FaultPlan {
             mailbox_capacity: Some(4),
@@ -198,13 +211,34 @@ mod tests {
     fn slicing_keeps_owned_events_and_scalar_knobs() {
         let plan = FaultPlan {
             crashes: vec![
-                NodeCrash { node: 1, at: SimTime(10) },
-                NodeCrash { node: 5, at: SimTime(20) },
+                NodeCrash {
+                    node: 1,
+                    at: SimTime(10),
+                },
+                NodeCrash {
+                    node: 5,
+                    at: SimTime(20),
+                },
             ],
             links: vec![
-                LinkWindow { from: 0, to: 1, down_at: SimTime(1), up_at: SimTime(2) },
-                LinkWindow { from: 3, to: 4, down_at: SimTime(1), up_at: SimTime(2) },
-                LinkWindow { from: 4, to: 5, down_at: SimTime(1), up_at: SimTime(2) },
+                LinkWindow {
+                    from: 0,
+                    to: 1,
+                    down_at: SimTime(1),
+                    up_at: SimTime(2),
+                },
+                LinkWindow {
+                    from: 3,
+                    to: 4,
+                    down_at: SimTime(1),
+                    up_at: SimTime(2),
+                },
+                LinkWindow {
+                    from: 4,
+                    to: 5,
+                    down_at: SimTime(1),
+                    up_at: SimTime(2),
+                },
             ],
             drop_prob: 0.25,
             drop_seed: 7,
@@ -212,20 +246,42 @@ mod tests {
             retry: RetryPolicy::default(),
         };
         let lo = plan.slice_for_range(0..4);
-        assert_eq!(lo.crashes, vec![NodeCrash { node: 1, at: SimTime(10) }]);
+        assert_eq!(
+            lo.crashes,
+            vec![NodeCrash {
+                node: 1,
+                at: SimTime(10)
+            }]
+        );
         assert_eq!(
             lo.links,
-            vec![LinkWindow { from: 0, to: 1, down_at: SimTime(1), up_at: SimTime(2) }]
+            vec![LinkWindow {
+                from: 0,
+                to: 1,
+                down_at: SimTime(1),
+                up_at: SimTime(2)
+            }]
         );
         assert_eq!(lo.drop_prob, 0.25);
         assert_eq!(lo.drop_seed, 7);
         assert_eq!(lo.mailbox_capacity, Some(3));
         // The upper slice is renumbered: processor 4 becomes its 0.
         let hi = plan.slice_for_range(4..8);
-        assert_eq!(hi.crashes, vec![NodeCrash { node: 1, at: SimTime(20) }]);
+        assert_eq!(
+            hi.crashes,
+            vec![NodeCrash {
+                node: 1,
+                at: SimTime(20)
+            }]
+        );
         assert_eq!(
             hi.links,
-            vec![LinkWindow { from: 0, to: 1, down_at: SimTime(1), up_at: SimTime(2) }],
+            vec![LinkWindow {
+                from: 0,
+                to: 1,
+                down_at: SimTime(1),
+                up_at: SimTime(2)
+            }],
             "only the 4–5 window is fully owned"
         );
         assert_eq!(hi.drop_seed, 7);

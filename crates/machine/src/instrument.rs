@@ -82,7 +82,8 @@ impl MachineMetrics {
     #[inline]
     pub fn set_cpu_busy(&mut self, node: u32, now: SimTime, busy: f64) {
         self.registry.set(self.cpu_busy[node as usize], now, busy);
-        self.registry.set(self.cpu_idle[node as usize], now, 1.0 - busy);
+        self.registry
+            .set(self.cpu_idle[node as usize], now, 1.0 - busy);
     }
 
     /// Record a node's low-priority ready-queue depth.

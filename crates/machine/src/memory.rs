@@ -169,7 +169,11 @@ impl Mmu {
     /// # Panics
     /// Panics if more is freed than is allocated (double-free bug).
     pub fn release(&mut self, now: SimTime, bytes: u64) {
-        assert!(self.used >= bytes, "MMU double free: {} < {bytes}", self.used);
+        assert!(
+            self.used >= bytes,
+            "MMU double free: {} < {bytes}",
+            self.used
+        );
         self.used -= bytes;
         self.usage.set(now, self.used as f64);
     }
@@ -216,9 +220,10 @@ impl Mmu {
     /// Remove a queued transit request for `msg`, returning its size
     /// (used by the emergency-pool escape).
     pub fn cancel_transit(&mut self, msg: crate::net::MsgId) -> Option<u64> {
-        let pos = self.queue.iter().position(
-            |r| matches!(r.waiter, AllocWaiter::Transit(m) if m == msg),
-        )?;
+        let pos = self
+            .queue
+            .iter()
+            .position(|r| matches!(r.waiter, AllocWaiter::Transit(m) if m == msg))?;
         let req = self.queue.remove(pos).expect("position valid");
         Some(req.bytes)
     }

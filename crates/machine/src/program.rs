@@ -176,9 +176,7 @@ impl JobSpec {
                 match op {
                     Op::Send { to, tag, .. } => {
                         if to.idx() >= self.procs.len() {
-                            return Err(format!(
-                                "rank {rank} sends to nonexistent rank {to:?}"
-                            ));
+                            return Err(format!("rank {rank} sends to nonexistent rank {to:?}"));
                         }
                         *balance.entry((*to, tag.0)).or_insert(0) += 1;
                     }
@@ -186,8 +184,7 @@ impl JobSpec {
                         *balance.entry((Rank(rank as u32), tag.0)).or_insert(0) -= 1;
                     }
                     Op::RecvAny { count, tag } => {
-                        *balance.entry((Rank(rank as u32), tag.0)).or_insert(0) -=
-                            *count as i64;
+                        *balance.entry((Rank(rank as u32), tag.0)).or_insert(0) -= *count as i64;
                     }
                     Op::Compute(_) => {}
                 }
@@ -199,7 +196,11 @@ impl JobSpec {
                     "job '{}': rank {rank:?} tag {tag}: {} {}",
                     self.name,
                     v.abs(),
-                    if v > 0 { "sends unconsumed" } else { "receives unmatched" },
+                    if v > 0 {
+                        "sends unconsumed"
+                    } else {
+                        "receives unmatched"
+                    },
                 ));
             }
         }
@@ -219,7 +220,11 @@ mod tests {
                 ProcSpec {
                     program: vec![
                         Op::Compute(SimDuration::from_millis(1)),
-                        Op::Send { to: Rank(1), bytes: 100, tag: Tag(7) },
+                        Op::Send {
+                            to: Rank(1),
+                            bytes: 100,
+                            tag: Tag(7),
+                        },
                         Op::Recv { tag: Tag(8) },
                     ],
                     mem_bytes: 1000,
@@ -228,7 +233,11 @@ mod tests {
                     program: vec![
                         Op::Recv { tag: Tag(7) },
                         Op::Compute(SimDuration::from_millis(2)),
-                        Op::Send { to: Rank(0), bytes: 50, tag: Tag(8) },
+                        Op::Send {
+                            to: Rank(0),
+                            bytes: 50,
+                            tag: Tag(8),
+                        },
                     ],
                     mem_bytes: 2000,
                 },
@@ -263,7 +272,11 @@ mod tests {
     #[test]
     fn out_of_range_destination_detected() {
         let mut j = ping_pong();
-        j.procs[0].program.push(Op::Send { to: Rank(5), bytes: 1, tag: Tag(0) });
+        j.procs[0].program.push(Op::Send {
+            to: Rank(5),
+            bytes: 1,
+            tag: Tag(0),
+        });
         let err = j.check_balanced().unwrap_err();
         assert!(err.contains("nonexistent"), "got: {err}");
     }
@@ -275,15 +288,26 @@ mod tests {
             ship_bytes: 0,
             procs: vec![
                 ProcSpec {
-                    program: vec![Op::RecvAny { count: 2, tag: Tag(1) }],
+                    program: vec![Op::RecvAny {
+                        count: 2,
+                        tag: Tag(1),
+                    }],
                     mem_bytes: 0,
                 },
                 ProcSpec {
-                    program: vec![Op::Send { to: Rank(0), bytes: 1, tag: Tag(1) }],
+                    program: vec![Op::Send {
+                        to: Rank(0),
+                        bytes: 1,
+                        tag: Tag(1),
+                    }],
                     mem_bytes: 0,
                 },
                 ProcSpec {
-                    program: vec![Op::Send { to: Rank(0), bytes: 1, tag: Tag(1) }],
+                    program: vec![Op::Send {
+                        to: Rank(0),
+                        bytes: 1,
+                        tag: Tag(1),
+                    }],
                     mem_bytes: 0,
                 },
             ],

@@ -202,7 +202,10 @@ impl Window {
         }
         let x = b - 1;
         let n = self.n();
-        self.b1 + SimDuration::from_nanos((x / n) * self.pre[self.rot.len()] + self.pre[(x % n) as usize])
+        self.b1
+            + SimDuration::from_nanos(
+                (x / n) * self.pre[self.rot.len()] + self.pre[(x % n) as usize],
+            )
     }
 
     /// Skipped boundaries strictly before `t`.
@@ -365,18 +368,29 @@ impl Machine {
         }
         let cursor = sched.cursor();
         let cpu = &self.nodes[node as usize].cpu;
-        let Some(Running { kind: RunKind::Low(p0), work_started: w0, .. }) = cpu.running else {
+        let Some(Running {
+            kind: RunKind::Low(p0),
+            work_started: w0,
+            ..
+        }) = cpu.running
+        else {
             unreachable!("arming a low slice with no low process running");
         };
-        debug_assert!(cpu.high.is_empty(), "high-priority work waits behind a low slice");
+        debug_assert!(
+            cpu.high.is_empty(),
+            "high-priority work waits behind a low slice"
+        );
         let ctx = self.cfg.ctx_switch_low;
         let first_left = self.procs[p0.idx()].remaining.saturating_sub(end.since(w0));
         // The slice after the first boundary must not finish its phase
         // either; most rotations that cannot go express fail here.
-        let head = cpu.low.front().map_or((first_left, self.procs[p0.idx()].quantum), |pk| {
-            let p = &self.procs[pk.idx()];
-            (p.remaining, p.quantum)
-        });
+        let head = cpu
+            .low
+            .front()
+            .map_or((first_left, self.procs[p0.idx()].quantum), |pk| {
+                let p = &self.procs[pk.idx()];
+                (p.remaining, p.quantum)
+            });
         if first_left.is_zero() || head.0 <= head.1 {
             return Err(DeclineReason::TooShort);
         }
@@ -399,9 +413,14 @@ impl Machine {
                 return Err(DeclineReason::TooShort);
             };
             if first.is_none_or(|(s, _)| slice < s) {
-                first = Some((slice, SimDuration::from_nanos(left.nanos() - full * q.nanos())));
+                first = Some((
+                    slice,
+                    SimDuration::from_nanos(left.nanos() - full * q.nanos()),
+                ));
             }
-            round = round.checked_add((ctx + q).nanos()).ok_or(DeclineReason::TooShort)?;
+            round = round
+                .checked_add((ctx + q).nanos())
+                .ok_or(DeclineReason::TooShort)?;
         }
         let (slice, last) = first.expect("at least one process");
         if slice == 0 {
@@ -496,7 +515,8 @@ impl Machine {
         });
         self.procs[pk.idx()].state = PState::Running;
         cpu.low.clear();
-        cpu.low.extend((1..n).map(|i| w.rot[((j - 1 + i) % n) as usize]));
+        cpu.low
+            .extend((1..n).map(|i| w.rot[((j - 1 + i) % n) as usize]));
         w.applied = j;
         self.cpu_express.stats.slices_skipped += passed;
         sched.adjust_processed(passed as i64);
@@ -522,7 +542,12 @@ impl Machine {
     /// Settle `node`'s window at the event being handled and hand the node
     /// back to the slice-by-slice path: the current slice's `SliceEnd` is
     /// armed at its reference key.
-    pub(crate) fn settle_cpu(&mut self, node: u32, why: SettleReason, sched: &mut impl EventScheduler<Event>) {
+    pub(crate) fn settle_cpu(
+        &mut self,
+        node: u32,
+        why: SettleReason,
+        sched: &mut impl EventScheduler<Event>,
+    ) {
         if !self.cpu_express.active(node) {
             return;
         }
@@ -565,7 +590,9 @@ impl Machine {
         }
         if next.is_some_and(|next| next < key) {
             let h = sched.schedule_timer_at_key(key, Event::SliceEnd { node, seq });
-            let w = self.cpu_express.windows[node as usize].as_mut().expect("open window");
+            let w = self.cpu_express.windows[node as usize]
+                .as_mut()
+                .expect("open window");
             w.timer = h;
             self.cpu_express.stats.rearmed += 1;
             // The reference handles this slice end once, at the later key.

@@ -229,7 +229,11 @@ impl MachineStats {
             handler_runs,
             quantum_expiries,
             preemptions,
-            mean_link_utilization: if chans == 0 { 0.0 } else { link_sum / chans as f64 },
+            mean_link_utilization: if chans == 0 {
+                0.0
+            } else {
+                link_sum / chans as f64
+            },
             max_link_utilization: link_max,
             link_bytes,
             mean_mem_used: if n == 0 { 0.0 } else { mem_mean_sum / n as f64 },

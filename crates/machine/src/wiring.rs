@@ -84,7 +84,10 @@ impl SystemNet {
     pub fn for_partitions(plan: &PartitionPlan, range: Range<usize>) -> SystemNet {
         let covered = plan.node_range(range.clone());
         let parts = &plan.partitions[range.clone()];
-        let shape = &parts.first().expect("a net needs at least one partition").topology;
+        let shape = &parts
+            .first()
+            .expect("a net needs at least one partition")
+            .topology;
         let partition_size = plan.partition_size;
         for (i, part) in parts.iter().enumerate() {
             assert!(
@@ -97,7 +100,10 @@ impl SystemNet {
         }
         let local: Vec<GlobalChannel> = shape
             .channels()
-            .map(|Channel { from, to }| GlobalChannel { from: from.0, to: to.0 })
+            .map(|Channel { from, to }| GlobalChannel {
+                from: from.0,
+                to: to.0,
+            })
             .collect();
         debug_assert!(
             local.is_sorted_by_key(|c| (c.from, c.to)),
@@ -162,7 +168,10 @@ impl SystemNet {
         let (p, l) = (c / self.local.len(), c % self.local.len());
         let base = global_id(p * self.partition_size);
         let GlobalChannel { from, to } = self.local[l];
-        GlobalChannel { from: base + from, to: base + to }
+        GlobalChannel {
+            from: base + from,
+            to: base + to,
+        }
     }
 
     /// Index of this net's first channel in the whole machine's channel
@@ -377,7 +386,10 @@ mod tests {
             (TopologyKind::Hypercube { dim: 0 }, 8),
             (TopologyKind::Ring, 5),
             (TopologyKind::FatTree { k: 0 }, fat_tree_size(4)),
-            (TopologyKind::Dragonfly { a: 0, p: 0, h: 0 }, dragonfly_size(2, 1, 1)),
+            (
+                TopologyKind::Dragonfly { a: 0, p: 0, h: 0 },
+                dragonfly_size(2, 1, 1),
+            ),
         ]
     }
 
@@ -397,7 +409,10 @@ mod tests {
             (TopologyKind::Torus { rows: 0, cols: 0 }, 64),
             (TopologyKind::Hypercube { dim: 0 }, 16),
             (TopologyKind::FatTree { k: 0 }, fat_tree_size(6)),
-            (TopologyKind::Dragonfly { a: 0, p: 0, h: 0 }, dragonfly_size(4, 2, 2)),
+            (
+                TopologyKind::Dragonfly { a: 0, p: 0, h: 0 },
+                dragonfly_size(4, 2, 2),
+            ),
         ]);
         for (kind, size) in shapes {
             for parts in [1, 2, 5] {
@@ -473,8 +488,14 @@ mod tests {
                 );
                 for a in 0..sub.nodes() as u32 {
                     for b in (0..sub.nodes() as u32).step_by(3) {
-                        let local = sub.route(a, b).map(|p| p.iter().map(|n| n + origin).collect());
-                        assert_eq!(local, whole.route(a + origin, b + origin), "{kind} {a}->{b}");
+                        let local = sub
+                            .route(a, b)
+                            .map(|p| p.iter().map(|n| n + origin).collect());
+                        assert_eq!(
+                            local,
+                            whole.route(a + origin, b + origin),
+                            "{kind} {a}->{b}"
+                        );
                     }
                 }
             }

@@ -245,10 +245,7 @@ impl Worm {
     /// always empty: ejection into node memory returns its credit at
     /// transmit time.
     pub fn buffered(&self) -> u64 {
-        self.links
-            .windows(2)
-            .map(|w| w[0].sent - w[1].sent)
-            .sum()
+        self.links.windows(2).map(|w| w[0].sent - w[1].sent).sum()
     }
 }
 
@@ -386,7 +383,8 @@ impl WormholeState {
     /// Extend the VC tables with idle links up to `chans` channels.
     pub(crate) fn grow(&mut self, chans: usize) {
         let (classes, per_class) = (self.classes, self.per_class);
-        self.chans.resize_with(chans, || VcChannel::new(classes, per_class));
+        self.chans
+            .resize_with(chans, || VcChannel::new(classes, per_class));
     }
 
     /// The worm of a message, if one is in flight.
@@ -456,7 +454,12 @@ mod tests {
             total_flits: 5,
             links: [(0u32, 0u8), (1, 0), (2, 1)]
                 .iter()
-                .map(|&(chan, class)| WormLink { chan, class, vc: None, sent: 0 })
+                .map(|&(chan, class)| WormLink {
+                    chan,
+                    class,
+                    vc: None,
+                    sent: 0,
+                })
                 .collect(),
             express: None,
         }
@@ -483,7 +486,10 @@ mod tests {
     fn progress_follows_the_closed_form_pipeline() {
         // 3 links, 4 flits: flit k crosses link i at step i + k.
         let at = |j| (0..3).map(|i| progress(j, i, 3, 4)).collect::<Vec<_>>();
-        assert_eq!(at(0), [(0, true, true), (0, false, false), (0, false, false)]);
+        assert_eq!(
+            at(0),
+            [(0, true, true), (0, false, false), (0, false, false)]
+        );
         assert_eq!(at(2), [(2, true, true), (1, true, true), (0, true, true)]);
         // Step 5: the tail crossed link 1, so link 0's VC is released.
         assert_eq!(at(5), [(4, true, false), (4, true, true), (3, true, true)]);

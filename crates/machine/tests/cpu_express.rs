@@ -190,8 +190,14 @@ impl Case {
         let (express, stats) = self.run(false);
         let (reference, none) = self.run(true);
         assert_eq!(none.windows, 0, "the reference opened a window");
-        assert_eq!(express, reference, "express diverged from the slice reference ({stats})");
-        assert!(stats.windows > 0 && stats.slices_skipped > 0, "nothing went express: {stats}");
+        assert_eq!(
+            express, reference,
+            "express diverged from the slice reference ({stats})"
+        );
+        assert!(
+            stats.windows > 0 && stats.slices_skipped > 0,
+            "nothing went express: {stats}"
+        );
         stats
     }
 
@@ -212,7 +218,9 @@ impl Case {
     fn quantum_ends(&self, why: QuantumEndReason) -> Vec<SimTime> {
         self.observed()
             .iter()
-            .filter(|e| matches!(e.1, ObsEvent::QuantumEnd { node: 0, reason, .. } if reason == why))
+            .filter(
+                |e| matches!(e.1, ObsEvent::QuantumEnd { node: 0, reason, .. } if reason == why),
+            )
             .map(|e| e.0)
             .collect()
     }
@@ -267,7 +275,8 @@ fn a_handler_arrival_settles_the_window() {
 #[test]
 fn a_spawn_onto_the_node_settles_the_window() {
     let mut case = Case::rotation(&[(40, 2), (35, 2)]);
-    case.jobs.push((compute(&[12]), vec![0], ms(2), SimTime(9_123_457)));
+    case.jobs
+        .push((compute(&[12]), vec![0], ms(2), SimTime(9_123_457)));
     let stats = case.check();
     assert!(settled(&stats, SettleReason::Wakeup) > 0, "{stats}");
 }
@@ -275,7 +284,10 @@ fn a_spawn_onto_the_node_settles_the_window() {
 #[test]
 fn a_quantum_change_settles_the_window() {
     let mut case = Case::rotation(&[(40, 2), (35, 2), (28, 2)]);
-    case.actions = vec![Action::Quantum(1, ms(3)), Action::Quantum(0, SimDuration::from_micros(1_500))];
+    case.actions = vec![
+        Action::Quantum(1, ms(3)),
+        Action::Quantum(0, SimDuration::from_micros(1_500)),
+    ];
     case.ticks = vec![(SimTime(9_300_001), 0), (SimTime(31_000_017), 1)];
     let stats = case.check();
     assert!(settled(&stats, SettleReason::Quantum) >= 2, "{stats}");
@@ -293,8 +305,10 @@ fn parking_and_release_settle_the_window() {
 #[test]
 fn a_crash_settles_the_window() {
     let mut case = Case::rotation(&[(40, 2), (35, 2)]);
-    case.jobs.push((compute(&[30]), vec![1], ms(2), SimTime::ZERO));
-    case.jobs.push((compute(&[25]), vec![1], ms(2), SimTime::ZERO));
+    case.jobs
+        .push((compute(&[30]), vec![1], ms(2), SimTime::ZERO));
+    case.jobs
+        .push((compute(&[25]), vec![1], ms(2), SimTime::ZERO));
     case.faults.crashes = vec![NodeCrash {
         node: 0,
         at: SimTime(17_654_321),
@@ -334,7 +348,10 @@ fn tie_case(first: bool) -> (Case, SimTime) {
     let mut case = Case::rotation(&[(40, 2), (35, 2), (28, 2)]);
     let expiries = case.quantum_ends(QuantumEndReason::Expired);
     let (prev, at) = (expiries[5], expiries[6]);
-    case.actions = vec![Action::Quantum(2, ms(3)), Action::Then(at.since(prev) - SimDuration::from_nanos(1), 0)];
+    case.actions = vec![
+        Action::Quantum(2, ms(3)),
+        Action::Then(at.since(prev) - SimDuration::from_nanos(1), 0),
+    ];
     case.ticks = if first {
         // Seeded before the run: issued before the boundary's timer.
         vec![(at, 0)]
@@ -402,10 +419,17 @@ fn a_park_at_the_natural_end_cancels_the_rearmed_timer() {
     let mut case = Case::rotation(&[(40, 2), (35, 2), (28, 2)]);
     let end = case.quantum_ends(QuantumEndReason::Completed)[0];
     let issued = case.quantum_ends(QuantumEndReason::Expired)[3] + SimDuration::from_nanos(1);
-    case.actions = vec![Action::Active(2, false), Action::Then(end.since(issued), 0), Action::Active(2, true)];
+    case.actions = vec![
+        Action::Active(2, false),
+        Action::Then(end.since(issued), 0),
+        Action::Active(2, true),
+    ];
     case.ticks = vec![(issued, 1), (end + ms(5), 2)];
     let stats = case.check();
-    assert!(stats.rearmed > 0 && settled(&stats, SettleReason::Parking) > 0, "{stats}");
+    assert!(
+        stats.rearmed > 0 && settled(&stats, SettleReason::Parking) > 0,
+        "{stats}"
+    );
 }
 
 /// Node 0 rotates three jobs admitted at 20 ms while rank 1 of a fourth

@@ -24,12 +24,23 @@ fn relay_spec(width: u32, bytes: u64) -> JobSpec {
             }
             program.push(Op::Compute(SimDuration::from_micros(700)));
             if r + 1 < width {
-                program.push(Op::Send { to: Rank(r + 1), bytes, tag: Tag(1) });
+                program.push(Op::Send {
+                    to: Rank(r + 1),
+                    bytes,
+                    tag: Tag(1),
+                });
             }
-            ProcSpec { program, mem_bytes: 4096 }
+            ProcSpec {
+                program,
+                mem_bytes: 4096,
+            }
         })
         .collect();
-    JobSpec { name: "relay".into(), ship_bytes: 0, procs }
+    JobSpec {
+        name: "relay".into(),
+        ship_bytes: 0,
+        procs,
+    }
 }
 
 /// `width` ranks on partition `p`, spread over its nodes.
@@ -84,7 +95,13 @@ impl Model for Script {
 
 impl Case {
     fn new(cfg: MachineConfig, plan: PartitionPlan) -> Case {
-        Case { cfg, plan, early: Vec::new(), late: Vec::new(), observe: false }
+        Case {
+            cfg,
+            plan,
+            early: Vec::new(),
+            late: Vec::new(),
+            observe: false,
+        }
     }
 
     fn run(&self, eager: bool) -> Outcome {
@@ -108,10 +125,26 @@ impl Case {
         for (i, (at, _, _)) in self.late.iter().enumerate() {
             engine.seed(*at, Event::PolicyTick { token: i as u64 });
         }
-        let late = self.late.iter().map(|(_, s, p)| Some((s.clone(), p.clone()))).collect();
-        let mut script = Script { m, late, built_before_late: Vec::new() };
-        assert_eq!(engine.run(&mut script), RunOutcome::Drained, "run did not drain");
-        let Script { mut m, built_before_late, .. } = script;
+        let late = self
+            .late
+            .iter()
+            .map(|(_, s, p)| Some((s.clone(), p.clone())))
+            .collect();
+        let mut script = Script {
+            m,
+            late,
+            built_before_late: Vec::new(),
+        };
+        assert_eq!(
+            engine.run(&mut script),
+            RunOutcome::Drained,
+            "run did not drain"
+        );
+        let Script {
+            mut m,
+            built_before_late,
+            ..
+        } = script;
         assert!(m.all_jobs_done());
         let now = engine.now();
         let timings: Vec<_> = m
@@ -124,7 +157,10 @@ impl Case {
             ("makespan", format!("{now:?}")),
             ("events", engine.events_processed().to_string()),
             ("counters", format!("{:?}", m.counters)),
-            ("machine stats", format!("{:?}", MachineStats::capture(&m, now))),
+            (
+                "machine stats",
+                format!("{:?}", MachineStats::capture(&m, now)),
+            ),
         ];
         if self.observe {
             let mut metrics = m.metrics.take().expect("installed");
@@ -153,9 +189,16 @@ impl Case {
     fn check(&self) -> Outcome {
         let lazy = self.run(false);
         let eager = self.run(true);
-        assert_eq!(eager.built, self.plan.count(), "build_all builds every partition");
+        assert_eq!(
+            eager.built,
+            self.plan.count(),
+            "build_all builds every partition"
+        );
         for ((what, a), (_, b)) in lazy.observables.iter().zip(&eager.observables) {
-            assert!(a == b, "{what} differ between the on-demand and the eager build");
+            assert!(
+                a == b,
+                "{what} differ between the on-demand and the eager build"
+            );
         }
         assert_eq!(lazy.observables.len(), eager.observables.len());
         lazy
@@ -173,7 +216,8 @@ fn a_job_on_partition_zero_of_a_65k_torus_builds_one_partition() {
         let mut cfg = MachineConfig::default();
         cfg.switching = switching;
         let mut case = Case::new(cfg, torus_64k());
-        case.early.push((relay_spec(8, 4096), spread(&case.plan, 0, 8)));
+        case.early
+            .push((relay_spec(8, 4096), spread(&case.plan, 0, 8)));
         let lazy = case.check();
         assert_eq!(lazy.built, 1, "{switching:?}");
         assert_eq!(lazy.counters.jobs_completed, 1);
@@ -184,7 +228,8 @@ fn a_job_on_partition_zero_of_a_65k_torus_builds_one_partition() {
 fn a_job_on_the_last_partition_builds_the_whole_prefix() {
     let mut case = Case::new(MachineConfig::default(), torus_64k());
     let last = case.plan.count() - 1;
-    case.early.push((relay_spec(8, 4096), spread(&case.plan, last, 8)));
+    case.early
+        .push((relay_spec(8, 4096), spread(&case.plan, last, 8)));
     assert_eq!(case.check().built, case.plan.count());
 }
 
@@ -197,18 +242,34 @@ fn faults_on_an_untouched_partition_build_it_before_a_job_lands() {
         cfg.switching = switching;
         // A crash on partition 5 and an outage on partition 6, both long
         // before any job reaches either.
-        cfg.faults.crashes.push(NodeCrash { node: 5 * 16 + 3, at: ms(1) });
-        cfg.faults.links.push(LinkWindow { from: 96, to: 97, down_at: ms(1), up_at: ms(9) });
+        cfg.faults.crashes.push(NodeCrash {
+            node: 5 * 16 + 3,
+            at: ms(1),
+        });
+        cfg.faults.links.push(LinkWindow {
+            from: 96,
+            to: 97,
+            down_at: ms(1),
+            up_at: ms(9),
+        });
         let mut case = Case::new(cfg, plan.clone());
         case.early.push((relay_spec(4, 2048), spread(&plan, 0, 4)));
         // Onto the outage's endpoints while the link is down, and onto
         // the crashed node's partition, clear of the dead node.
         case.late.push((ms(2), relay_spec(2, 2048), vec![96, 97]));
-        case.late.push((ms(3), relay_spec(3, 2048), vec![80, 81, 82]));
+        case.late
+            .push((ms(3), relay_spec(3, 2048), vec![80, 81, 82]));
         let lazy = case.check();
-        assert_eq!(lazy.built_before_late, vec![7, 7], "{switching:?}: faults built 0..=6");
+        assert_eq!(
+            lazy.built_before_late,
+            vec![7, 7],
+            "{switching:?}: faults built 0..=6"
+        );
         assert_eq!(lazy.built, 7, "{switching:?}");
-        assert_eq!((lazy.counters.node_crashes, lazy.counters.link_downs), (1, 2));
+        assert_eq!(
+            (lazy.counters.node_crashes, lazy.counters.link_downs),
+            (1, 2)
+        );
         assert_eq!(lazy.counters.jobs_completed, 3, "{switching:?}");
     }
 }
@@ -222,7 +283,11 @@ fn an_observed_run_on_a_lazily_built_machine_matches_the_eager_one() {
         let mut case = Case::new(cfg, plan.clone());
         case.observe = true;
         case.early.push((relay_spec(6, 4096), spread(&plan, 2, 6)));
-        case.late.push((SimTime::ZERO + SimDuration::from_millis(3), relay_spec(4, 1024), spread(&plan, 1, 4)));
+        case.late.push((
+            SimTime::ZERO + SimDuration::from_millis(3),
+            relay_spec(4, 1024),
+            spread(&plan, 1, 4),
+        ));
         let lazy = case.check();
         assert_eq!(lazy.built, 3, "{switching:?}");
         assert_eq!(lazy.built_before_late, vec![3]);
@@ -242,11 +307,18 @@ fn the_drop_lottery_on_a_grown_partition_draws_the_machine_wide_streams() {
         // Partition 2 first, then partition 5 mid-run: the second growth
         // appends the streams of channels the first never built.
         case.early.push((relay_spec(8, 4096), spread(&plan, 2, 8)));
-        case.late.push((SimTime::ZERO + SimDuration::from_millis(2), relay_spec(8, 4096), spread(&plan, 5, 8)));
+        case.late.push((
+            SimTime::ZERO + SimDuration::from_millis(2),
+            relay_spec(8, 4096),
+            spread(&plan, 5, 8),
+        ));
         let lazy = case.check();
         assert_eq!(lazy.built_before_late, vec![3], "{switching:?}");
         assert_eq!(lazy.built, 6, "{switching:?}");
-        assert!(lazy.counters.retries > 0, "{switching:?}: the lottery must corrupt some hops");
+        assert!(
+            lazy.counters.retries > 0,
+            "{switching:?}: the lottery must corrupt some hops"
+        );
     }
 }
 
