@@ -20,7 +20,7 @@ const FIGURES: &[(&str, &str, FigFn)] = &[
     ("fig6", "Figure 6: sort, adaptive architecture", fig6),
     ("a1", "Ablation A1: service-demand variance crossover", ablation_variance),
     ("a2", "Ablation A2: topology sensitivity", ablation_topology),
-    ("a3", "Ablation A3: wormhole (cut-through) conjecture", ablation_wormhole),
+    ("a3", "Ablation A3: wormhole conjecture", ablation_wormhole),
     ("a4", "Ablation A4: quantum rule and size", ablation_quantum),
     ("a5", "Ablation A5: hybrid set-size (MPL) tuning", ablation_mpl),
     ("a6", "Ablation A6: system-overhead sensitivity", ablation_overheads),

@@ -208,16 +208,16 @@ pub fn ablation_topology(opts: &FigureOpts) -> Result<FigureTable, RunError> {
 }
 
 /// A3 — wormhole conjecture (§5.2): the paper figures re-run under
-/// cut-through switching.
+/// flit-level wormhole switching.
 pub fn ablation_wormhole(opts: &FigureOpts) -> Result<FigureTable, RunError> {
-    let mut ct_opts = opts.clone();
-    ct_opts.machine.switching = Switching::CutThrough;
+    let mut worm_opts = opts.clone();
+    worm_opts.machine.switching = Switching::Wormhole;
     let saf = figure(App::MatMul, Arch::Fixed, opts)?;
-    let ct = figure(App::MatMul, Arch::Fixed, &ct_opts)?;
+    let worm = figure(App::MatMul, Arch::Fixed, &worm_opts)?;
     let rows = saf
         .rows
         .iter()
-        .zip(ct.rows.iter())
+        .zip(worm.rows.iter())
         .map(|(s, c)| FigureRow {
             label: s.label.clone(),
             static_mean: c.static_mean,
@@ -229,12 +229,12 @@ pub fn ablation_wormhole(opts: &FigureOpts) -> Result<FigureTable, RunError> {
         })
         .collect();
     Ok(FigureTable {
-        title: "Wormhole (cut-through) vs store-and-forward (matmul fixed): \
+        title: "Wormhole vs store-and-forward (matmul fixed): \
                 mean response (s)"
             .into(),
         columns: vec![
-            "ct-static".into(),
-            "ct-ts".into(),
+            "worm-static".into(),
+            "worm-ts".into(),
             "saf-static".into(),
             "saf-ts".into(),
         ],

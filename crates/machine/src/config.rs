@@ -28,15 +28,6 @@ pub enum Switching {
     /// forwarding, and pays a software router-handler cost on that node's
     /// CPU. Ablation: the most literal reading of §3.2.
     StoreAndForward,
-    /// Virtual cut-through as a *latency* approximation: hops pipeline (a
-    /// hop starts a header latency after the previous one), intermediate
-    /// nodes buffer nothing and spend no CPU; only the destination pays a
-    /// handler cost. Unlike [`Switching::Wormhole`] it models no link
-    /// arbitration — channels are never held, worms never block each other,
-    /// and contention is invisible. Use `Wormhole` when the §5.2 question
-    /// (does a modern interconnect erase topology sensitivity?) is the
-    /// point of the experiment; keep `CutThrough` for cheap ablations.
-    CutThrough,
     /// Flit-level wormhole routing, the interconnect the paper conjectures
     /// about in §5.2, modelled for real: messages move as a train of
     /// `flit_bytes` flits behind a header that allocates one virtual
@@ -48,7 +39,7 @@ pub enum Switching {
     /// the channel-dependency graph acyclic (deadlock-free by
     /// construction; tested). Intermediate nodes buffer nothing and spend
     /// no CPU — router logic is hardware, not software — so only the
-    /// destination pays a handler cost, like `CutThrough`.
+    /// destination pays a handler cost.
     Wormhole,
 }
 
@@ -151,8 +142,6 @@ pub struct MachineConfig {
     /// Link time per payload byte (20 Mbit/s links deliver ~1.7 MB/s of
     /// payload after protocol overhead, i.e. ~588 ns/byte).
     pub link_per_byte: SimDuration,
-    /// Header latency per hop in cut-through mode.
-    pub cut_through_header: SimDuration,
     /// Flit size for [`Switching::Wormhole`] (payload bytes per flit; one
     /// extra header flit is prepended to every worm).
     pub flit_bytes: u64,
@@ -210,7 +199,6 @@ impl Default for MachineConfig {
             self_delivery: SimDuration::from_micros(60),
             link_startup: SimDuration::from_micros(20),
             link_per_byte: SimDuration::from_nanos(588),
-            cut_through_header: SimDuration::from_micros(5),
             flit_bytes: 64,
             vcs_per_class: 1,
             vc_credits: 4,

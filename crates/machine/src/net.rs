@@ -50,15 +50,15 @@ pub struct Message {
     pub hops: u32,
     /// Node holding the (store-and-forward) buffered copy.
     pub at_node: u32,
-    /// Cut-through: head of the next edge to enqueue (the route walked
-    /// `edges_started` hops from `src_node`).
+    /// Pipelined (packetized or wormhole): head of the next edge to
+    /// enqueue (the route walked `edges_started` hops from `src_node`).
     pub front_node: u32,
-    /// Cut-through: node the head has fully crossed to (the route walked
+    /// Pipelined: node the head has fully crossed to (the route walked
     /// `edges_done` hops from `src_node`).
     pub done_node: u32,
-    /// Cut-through: number of route edges whose transfer has completed.
+    /// Pipelined: number of route edges whose transfer has completed.
     pub edges_done: u32,
-    /// Cut-through: number of route edges enqueued on their channel so far.
+    /// Pipelined: number of route edges enqueued on their channel so far.
     pub edges_started: u32,
     /// When the sender injected it.
     pub injected_at: SimTime,

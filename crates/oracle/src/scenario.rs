@@ -178,11 +178,7 @@ impl Scenario {
         );
         let switching = pick(
             &mut rng,
-            &[
-                Switching::PacketizedSaf,
-                Switching::StoreAndForward,
-                Switching::CutThrough,
-            ],
+            &[Switching::PacketizedSaf, Switching::StoreAndForward],
         );
         let placement = pick(&mut rng, &[Placement::RoundRobin, Placement::Staggered]);
 
