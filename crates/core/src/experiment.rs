@@ -326,15 +326,20 @@ pub struct ReplicatedResult {
 /// batches with different seeds); the paper's fixed batches are
 /// deterministic and need no replication.
 ///
-/// # Panics
-/// Panics if `replications < 2`.
+/// # Errors
+/// [`RunError`] if `replications < 2` (a confidence interval needs two
+/// runs) or if any replication fails.
 pub fn run_replicated(
     config: &ExperimentConfig,
     replications: usize,
     confidence: f64,
     mut make_batch: impl FnMut(usize) -> Vec<JobSpec>,
 ) -> Result<ReplicatedResult, RunError> {
-    assert!(replications >= 2, "need at least two replications for a CI");
+    if replications < 2 {
+        return Err(RunError::aborted(format!(
+            "need at least two replications for a confidence interval, got {replications}"
+        )));
+    }
     let mut means = Vec::with_capacity(replications);
     for i in 0..replications {
         let batch = make_batch(i);
@@ -362,12 +367,12 @@ pub struct ExperimentResult {
     pub label: String,
     /// Policy run.
     pub policy: PolicyKind,
-    /// The scored mean response time (seconds): average of best and worst
-    /// orderings for static, the single run for time-sharing.
+    /// The scored mean response time (seconds): the average of the best
+    /// and worst orderings.
     pub mean_response: f64,
-    /// Best-ordering run (static) / the only run (time-sharing).
+    /// Best-ordering (smallest-first) run.
     pub primary: RunResult,
-    /// Worst-ordering run (static only).
+    /// Worst-ordering (largest-first) run.
     pub worst: Option<RunResult>,
 }
 
@@ -376,49 +381,26 @@ pub fn run_experiment(
     config: &ExperimentConfig,
     batch: &[JobSpec],
 ) -> Result<ExperimentResult, RunError> {
-    let label = config.label();
-    match config.policy {
-        PolicyKind::TimeSharing => {
-            // Submission order also matters (mildly) under time-sharing
-            // because job loads serialize on the host link; score it the
-            // same way as the static policy so neither gets an ordering
-            // advantage.
-            let best = run_batch(
-                config,
-                order_batch(batch.to_vec(), BatchOrder::SmallestFirst),
-            )?;
-            let worst = run_batch(
-                config,
-                order_batch(batch.to_vec(), BatchOrder::LargestFirst),
-            )?;
-            let mean = (best.mean_response() + worst.mean_response()) / 2.0;
-            Ok(ExperimentResult {
-                label,
-                policy: config.policy,
-                mean_response: mean,
-                primary: best,
-                worst: Some(worst),
-            })
-        }
-        PolicyKind::Static => {
-            let best = run_batch(
-                config,
-                order_batch(batch.to_vec(), BatchOrder::SmallestFirst),
-            )?;
-            let worst = run_batch(
-                config,
-                order_batch(batch.to_vec(), BatchOrder::LargestFirst),
-            )?;
-            let mean = (best.mean_response() + worst.mean_response()) / 2.0;
-            Ok(ExperimentResult {
-                label,
-                policy: config.policy,
-                mean_response: mean,
-                primary: best,
-                worst: Some(worst),
-            })
-        }
-    }
+    // Submission order matters under static space-sharing, and also
+    // (mildly) under time-sharing because job loads serialize on the host
+    // link: score both policies on the best and worst orderings so neither
+    // gets an ordering advantage.
+    let best = run_batch(
+        config,
+        order_batch(batch.to_vec(), BatchOrder::SmallestFirst),
+    )?;
+    let worst = run_batch(
+        config,
+        order_batch(batch.to_vec(), BatchOrder::LargestFirst),
+    )?;
+    let mean = (best.mean_response() + worst.mean_response()) / 2.0;
+    Ok(ExperimentResult {
+        label: config.label(),
+        policy: config.policy,
+        mean_response: mean,
+        primary: best,
+        worst: Some(worst),
+    })
 }
 
 #[cfg(test)]
@@ -555,10 +537,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least two replications")]
     fn replication_requires_two_runs() {
         let config = quick(1, PolicyKind::Static);
-        let _ = run_replicated(&config, 1, 0.95, |_| tiny_batch(1, 1));
+        let err = run_replicated(&config, 1, 0.95, |_| tiny_batch(1, 1)).unwrap_err();
+        assert_eq!(err.outcome, None);
+        assert!(
+            err.diagnosis.contains("at least two replications") && err.diagnosis.contains("got 1"),
+            "{err}"
+        );
     }
 
     #[test]

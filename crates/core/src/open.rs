@@ -227,8 +227,15 @@ pub struct OpenRunResult {
 /// offered load `rho` (per-processor utilization demanded of the whole
 /// machine), demands from the configured [`DemandSpec`]. Deterministic in
 /// `config.seed`.
+///
+/// # Errors
+/// [`RunError`] if `rho` is not finite and positive, or if the run fails.
 pub fn run_open_system(config: &OpenConfig, rho: f64) -> Result<OpenRunResult, RunError> {
-    assert!(rho > 0.0, "offered load must be positive");
+    if !(rho.is_finite() && rho > 0.0) {
+        return Err(RunError::aborted(format!(
+            "offered load must be finite and positive, got rho = {rho}"
+        )));
+    }
     let mean_ia =
         mean_interarrival_for_load(rho, config.demand.mean(), config.experiment.system_size);
     let master = DetRng::new(config.seed);
@@ -261,12 +268,22 @@ pub fn run_open_system(config: &OpenConfig, rho: f64) -> Result<OpenRunResult, R
 /// sequential demands, one per job. This is the replayable core that
 /// [`run_open_system`] samples its streams into; the differential oracle
 /// calls it directly.
+///
+/// # Errors
+/// [`RunError`] if `times` and `demands` differ in length, the
+/// configuration is unrealizable, or the run fails.
 pub fn run_open_stream(
     config: &OpenConfig,
     times: Vec<SimTime>,
     demands: Vec<SimDuration>,
 ) -> Result<OpenRunResult, RunError> {
-    assert_eq!(times.len(), demands.len(), "one demand per arrival");
+    if times.len() != demands.len() {
+        return Err(RunError::aborted(format!(
+            "one demand per arrival: {} arrival times but {} demands",
+            times.len(),
+            demands.len()
+        )));
+    }
     let cfg = &config.experiment;
     let plan = cfg
         .try_plan()
@@ -477,6 +494,28 @@ mod tests {
         cfg.warmup = 10;
         cfg.stop = StopRule::Completions(60);
         cfg
+    }
+
+    #[test]
+    fn open_run_rejects_bad_offered_load() {
+        let cfg = quick(PolicyKind::TimeSharing);
+        for rho in [0.0, -0.5, f64::NAN, f64::INFINITY] {
+            let err = run_open_system(&cfg, rho).unwrap_err();
+            assert_eq!(err.outcome, None);
+            assert!(err.diagnosis.contains(&format!("rho = {rho}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn open_stream_rejects_mismatched_demands() {
+        let times = vec![SimTime::ZERO, SimTime::ZERO];
+        let demands = vec![SimDuration::from_millis(20)];
+        let err = run_open_stream(&quick(PolicyKind::TimeSharing), times, demands).unwrap_err();
+        assert_eq!(err.outcome, None);
+        assert!(
+            err.diagnosis.contains("2 arrival times but 1 demands"),
+            "{err}"
+        );
     }
 
     #[test]
