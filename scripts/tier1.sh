@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, lint wall, full workspace test suite, the
+# Tier-1 gate: release build, the machine crate's format check, lint
+# wall, full workspace test suite, the
 # perf binary's golden check (simulated results must match
 # BENCH_parsched.json bit-exactly — fault plans default to empty, so this
 # also pins that the fault layer costs nothing when unused), a
@@ -57,6 +58,7 @@ cd "$(dirname "$0")/.."
 mode="${1:-tier1}"
 
 cargo build --release --workspace
+cargo fmt -p parsched-machine -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace
 cargo run --release -p parsched-bench --bin perf -- --check --quick
