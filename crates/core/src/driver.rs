@@ -325,8 +325,15 @@ impl Driver {
         plan: PartitionPlan,
         batch: Vec<JobSpec>,
     ) -> Driver {
-        let driver = Driver::new(machine, plan, config.policy, config.rule, config.placement, batch)
-            .with_discipline(config.discipline);
+        let driver = Driver::new(
+            machine,
+            plan,
+            config.policy,
+            config.rule,
+            config.placement,
+            batch,
+        )
+        .with_discipline(config.discipline);
         match config.mpl {
             Some(mpl) => driver.with_mpl(mpl),
             None => driver,
@@ -413,7 +420,11 @@ impl Driver {
         partition_ids: Vec<usize>,
         members: &[(usize, Option<SimTime>)],
     ) -> Driver {
-        assert_eq!(partition_ids.len(), self.plan.count(), "one global id per partition");
+        assert_eq!(
+            partition_ids.len(),
+            self.plan.count(),
+            "one global id per partition"
+        );
         assert_eq!(members.len(), self.entries.len(), "one member per entry");
         let mut local_of = vec![None; specs.len()];
         for (li, &(g, floor)) in members.iter().enumerate() {
@@ -425,7 +436,10 @@ impl Driver {
             specs,
             partition_ids,
             job_indices: members.iter().map(|&(g, _)| g).collect(),
-            load_floors: members.iter().map(|&(_, f)| f.unwrap_or(SimTime::ZERO)).collect(),
+            load_floors: members
+                .iter()
+                .map(|&(_, f)| f.unwrap_or(SimTime::ZERO))
+                .collect(),
             local_of,
             requests: Vec::new(),
         });
@@ -467,7 +481,13 @@ impl Driver {
                     // observable submit/depart events are not duplicated).
                     self.in_system -= 1;
                 }
-                CoordGrant::Admit { time, global_idx, part, floor, failures } => {
+                CoordGrant::Admit {
+                    time,
+                    global_idx,
+                    part,
+                    floor,
+                    failures,
+                } => {
                     let c = self.coord.as_mut().expect("grants require coordination");
                     let local_part = c
                         .partition_ids
@@ -632,7 +652,13 @@ impl Driver {
     /// Partition scheduler: place `idx` on `part` and schedule its
     /// admission, emitting `PartitionAdmit` (plus `JobRequeued` for a
     /// fault rerun).
-    fn admit_to(&mut self, part: usize, idx: usize, now: SimTime, sched: &mut impl EventScheduler<Event>) {
+    fn admit_to(
+        &mut self,
+        part: usize,
+        idx: usize,
+        now: SimTime,
+        sched: &mut impl EventScheduler<Event>,
+    ) {
         let job = self.admit_body(part, idx, now);
         sched.schedule_now(Event::Admit { job });
         self.retune_quantum(part, sched);
@@ -716,7 +742,9 @@ impl Driver {
 
     /// The machine job of an assigned entry.
     fn live_job(&self, idx: usize) -> JobId {
-        self.entries[idx].job_id.expect("assigned entries hold a job")
+        self.entries[idx]
+            .job_id
+            .expect("assigned entries hold a job")
     }
 
     /// Register a batch entry with the machine on a partition; returns the
@@ -854,7 +882,10 @@ impl Driver {
             );
         }
         assert_eq!(p.ready, ready, "partition {part}: Ready count");
-        assert_eq!(p.unstarted_demand, demand, "partition {part}: unstarted demand");
+        assert_eq!(
+            p.unstarted_demand, demand,
+            "partition {part}: unstarted demand"
+        );
         assert_eq!(p.started, started, "partition {part}: started members");
     }
 
@@ -911,7 +942,10 @@ impl Driver {
                     if let Some(c) = &mut self.coord {
                         if c.queue_active.load(Ordering::Relaxed) {
                             let gp = c.partition_ids[part];
-                            c.requests.push(CoordRequest::Pop { time: now, part: gp });
+                            c.requests.push(CoordRequest::Pop {
+                                time: now,
+                                part: gp,
+                            });
                             sched.request_pause();
                         }
                     } else if let Some(next) = self.pending.pop_front() {
@@ -990,7 +1024,11 @@ impl Driver {
     /// A started member of `part` completed or failed: it no longer runs.
     fn leave_started(&mut self, part: usize, idx: usize) {
         let p = &mut self.parts[part];
-        let at = p.started.iter().position(|&i| i == idx).expect("a started member");
+        let at = p
+            .started
+            .iter()
+            .position(|&i| i == idx)
+            .expect("a started member");
         p.started.remove(at);
         self.entries[idx].stage = Stage::Loading;
     }
@@ -998,7 +1036,10 @@ impl Driver {
     /// Drop `idx` from `part`'s members, at its position.
     fn leave_assigned(&mut self, part: usize, idx: usize) {
         let p = &mut self.parts[part].assigned;
-        let at = p.iter().position(|&i| i == idx).expect("an assigned member");
+        let at = p
+            .iter()
+            .position(|&i| i == idx)
+            .expect("an assigned member");
         p.remove(at);
     }
 
@@ -1161,7 +1202,12 @@ impl Driver {
 
 impl Driver {
     /// Rotate a partition's gang: park the running job, release the next.
-    fn on_policy_tick(&mut self, part: usize, now: SimTime, sched: &mut impl EventScheduler<Event>) {
+    fn on_policy_tick(
+        &mut self,
+        part: usize,
+        now: SimTime,
+        sched: &mut impl EventScheduler<Event>,
+    ) {
         let Discipline::Gang { slot } = self.discipline else {
             return;
         };
@@ -1237,8 +1283,7 @@ mod tests {
         partitions: (usize, usize), // (system, partition size)
         batch: Vec<JobSpec>,
     ) -> Driver {
-        let plan =
-            PartitionPlan::equal(partitions.0, partitions.1, TopologyKind::Linear).unwrap();
+        let plan = PartitionPlan::equal(partitions.0, partitions.1, TopologyKind::Linear).unwrap();
         let cfg = MachineConfig {
             host_link_per_byte: SimDuration::ZERO,
             job_load_latency: SimDuration::from_millis(1),
@@ -1304,8 +1349,7 @@ mod tests {
     #[should_panic(expected = "one arrival per job")]
     fn with_arrivals_checks_length() {
         let batch = vec![job("a", 1), job("b", 1)];
-        let _ = driver_for(PolicyKind::Static, (1, 1), batch)
-            .with_arrivals(vec![SimTime::ZERO]);
+        let _ = driver_for(PolicyKind::Static, (1, 1), batch).with_arrivals(vec![SimTime::ZERO]);
     }
 
     #[test]
@@ -1316,8 +1360,7 @@ mod tests {
         let arrivals = (0..4)
             .map(|i| SimTime::ZERO + SimDuration::from_millis(i))
             .collect();
-        let mut d =
-            driver_for(PolicyKind::TimeSharing, (2, 1), batch).with_arrivals(arrivals);
+        let mut d = driver_for(PolicyKind::TimeSharing, (2, 1), batch).with_arrivals(arrivals);
         run(&mut d);
         let parts: Vec<usize> = d
             .entries
@@ -1348,10 +1391,7 @@ mod tests {
         assert!(diag.contains("JobFinished"), "{diag}");
     }
 
-    fn faulty_driver(
-        faults: parsched_machine::FaultPlan,
-        batch: Vec<JobSpec>,
-    ) -> Driver {
+    fn faulty_driver(faults: parsched_machine::FaultPlan, batch: Vec<JobSpec>) -> Driver {
         let plan = PartitionPlan::equal(2, 2, TopologyKind::Linear).unwrap();
         let cfg = MachineConfig {
             host_link_per_byte: SimDuration::ZERO,
@@ -1406,7 +1446,11 @@ mod tests {
         // Response time covers both incarnations, measured from the
         // original arrival.
         let rts = d.response_times();
-        assert!(rts[0] >= SimDuration::from_millis(25), "rerun too fast: {}", rts[0]);
+        assert!(
+            rts[0] >= SimDuration::from_millis(25),
+            "rerun too fast: {}",
+            rts[0]
+        );
     }
 
     #[test]
@@ -1425,10 +1469,7 @@ mod tests {
     #[test]
     fn fault_recovery_replays_identically() {
         let mk = || {
-            let mut d = faulty_driver(
-                crash(1, 5),
-                (0..3).map(|_| wide_job(10, 2)).collect(),
-            );
+            let mut d = faulty_driver(crash(1, 5), (0..3).map(|_| wide_job(10, 2)).collect());
             run(&mut d);
             (d.response_times(), d.machine.counters.jobs_requeued)
         };
@@ -1457,7 +1498,11 @@ mod tests {
             ship_bytes: 0,
             procs: vec![
                 ProcSpec {
-                    program: vec![Op::Send { to: Rank(1), bytes: 10_000, tag: Tag(7) }],
+                    program: vec![Op::Send {
+                        to: Rank(1),
+                        bytes: 10_000,
+                        tag: Tag(7),
+                    }],
                     mem_bytes: 1024,
                 },
                 ProcSpec {
@@ -1507,7 +1552,10 @@ mod tests {
             });
         run(&mut d);
         assert_eq!(d.machine.counters.jobs_failed, 3);
-        assert!(d.entries.iter().all(|e| e.failures == 1), "every stage failed once");
+        assert!(
+            d.entries.iter().all(|e| e.failures == 1),
+            "every stage failed once"
+        );
         let p = &d.parts[0];
         assert_eq!((p.ready, p.unstarted_demand), (0, 0));
         assert!(p.assigned.is_empty() && p.started.is_empty());

@@ -13,8 +13,8 @@ use parsched_des::SimDuration;
 use parsched_machine::{FlowControl, JobSpec, MachineConfig, Switching};
 use parsched_topology::{paper_configs, PartitionPlan, TopologyKind};
 use parsched_workload::{
-    paper_batch, pipeline_job, synthetic_batch, App, Arch, BatchSizes, CostModel,
-    PipelineParams, SyntheticParams,
+    paper_batch, pipeline_job, synthetic_batch, App, Arch, BatchSizes, CostModel, PipelineParams,
+    SyntheticParams,
 };
 
 /// Shared options for figure generation.
@@ -182,8 +182,7 @@ pub fn ablation_topology(opts: &FigureOpts) -> Result<FigureTable, RunError> {
         for policy in [PolicyKind::Static, PolicyKind::TimeSharing] {
             let mut tasks = Vec::new();
             for &kind in &kinds {
-                let batch =
-                    paper_batch(App::MatMul, Arch::Fixed, p, &opts.sizes, &opts.cost);
+                let batch = paper_batch(App::MatMul, Arch::Fixed, p, &opts.sizes, &opts.cost);
                 tasks.push((opts.config(p, kind, policy), batch));
             }
             let results = run_parallel(tasks, opts.parallel)?;
@@ -267,8 +266,16 @@ pub fn ablation_quantum(opts: &FigureOpts) -> Result<FigureTable, RunError> {
         });
     }
     // Rule fairness: equal-demand jobs, alternating widths 4 and 16.
-    let params4 = SyntheticParams { width: 4, msg_bytes: 1024, ..SyntheticParams::default() };
-    let params16 = SyntheticParams { width: 16, msg_bytes: 1024, ..SyntheticParams::default() };
+    let params4 = SyntheticParams {
+        width: 4,
+        msg_bytes: 1024,
+        ..SyntheticParams::default()
+    };
+    let params16 = SyntheticParams {
+        width: 16,
+        msg_bytes: 1024,
+        ..SyntheticParams::default()
+    };
     let demand = SimDuration::from_secs(2);
     let batch: Vec<parsched_machine::JobSpec> = (0..16)
         .map(|i| {
@@ -277,10 +284,17 @@ pub fn ablation_quantum(opts: &FigureOpts) -> Result<FigureTable, RunError> {
         })
         .collect();
     for (name, rule) in [
-        ("rr-job", QuantumRule::RrJob { base: SimDuration::from_millis(2) }),
+        (
+            "rr-job",
+            QuantumRule::RrJob {
+                base: SimDuration::from_millis(2),
+            },
+        ),
         (
             "rr-proc",
-            QuantumRule::RrProcess { quantum: SimDuration::from_millis(2) },
+            QuantumRule::RrProcess {
+                quantum: SimDuration::from_millis(2),
+            },
         ),
     ] {
         let mut o = opts.clone();
@@ -289,10 +303,14 @@ pub fn ablation_quantum(opts: &FigureOpts) -> Result<FigureTable, RunError> {
         // Fairness: how much later do the narrow (width-4) jobs finish than
         // the wide ones, given equal total demand?
         let rts = &r.primary.response_times;
-        let narrow: f64 =
-            rts.iter().step_by(2).map(|d| d.as_secs_f64()).sum::<f64>() / 8.0;
-        let wide: f64 =
-            rts.iter().skip(1).step_by(2).map(|d| d.as_secs_f64()).sum::<f64>() / 8.0;
+        let narrow: f64 = rts.iter().step_by(2).map(|d| d.as_secs_f64()).sum::<f64>() / 8.0;
+        let wide: f64 = rts
+            .iter()
+            .skip(1)
+            .step_by(2)
+            .map(|d| d.as_secs_f64())
+            .sum::<f64>()
+            / 8.0;
         rows.push(FigureRow {
             label: format!("mixed {name}"),
             static_mean: None,
@@ -387,8 +405,7 @@ pub fn ablation_memory(opts: &FigureOpts) -> Result<FigureTable, RunError> {
         });
     }
     Ok(FigureTable {
-        title: "Memory-size sensitivity (matmul fixed, 16L): mean response (s)"
-            .into(),
+        title: "Memory-size sensitivity (matmul fixed, 16L): mean response (s)".into(),
         columns: vec!["static".into(), "ts".into()],
         rows,
     })

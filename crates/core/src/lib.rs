@@ -48,12 +48,12 @@ pub mod prelude {
     pub use crate::figures::{
         ablation_flow_control, ablation_gang, ablation_load, ablation_memory, ablation_mpl,
         ablation_overheads, ablation_partition_tuning, ablation_pipeline, ablation_quantum,
-        ablation_topology, ablation_variance,
-        ablation_wormhole, fig3, fig4, fig5, fig6, figure, FigureOpts,
+        ablation_topology, ablation_variance, ablation_wormhole, fig3, fig4, fig5, fig6, figure,
+        FigureOpts,
     };
     pub use crate::open::{
-        run_open_stream, run_open_system, sweep_load, DemandSpec, LoadPoint, LoadSweep,
-        OpenConfig, OpenJobRecord, OpenRunResult, StopRule, TailStats,
+        run_open_stream, run_open_system, sweep_load, DemandSpec, LoadPoint, LoadSweep, OpenConfig,
+        OpenJobRecord, OpenRunResult, StopRule, TailStats,
     };
     pub use crate::policy::{Discipline, Placement, PolicyKind, QuantumRule};
     pub use crate::report::{metrics_table, FigureRow, FigureTable};

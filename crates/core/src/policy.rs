@@ -232,7 +232,11 @@ mod tests {
 
     #[test]
     fn one_processor_partition_takes_everything() {
-        for placement in [Placement::Staggered, Placement::RoundRobin, Placement::Blocked] {
+        for placement in [
+            Placement::Staggered,
+            Placement::RoundRobin,
+            Placement::Blocked,
+        ] {
             let p = placement.assign(5, 1, 16, 7);
             assert_eq!(p, vec![5; 16]);
         }
@@ -256,7 +260,11 @@ mod tests {
     #[test]
     fn assign_nodes_matches_assign_on_full_partition() {
         let nodes: Vec<u32> = (8..12).collect();
-        for placement in [Placement::Staggered, Placement::RoundRobin, Placement::Blocked] {
+        for placement in [
+            Placement::Staggered,
+            Placement::RoundRobin,
+            Placement::Blocked,
+        ] {
             for width in [1, 4, 6, 16] {
                 for j in 0..5 {
                     assert_eq!(

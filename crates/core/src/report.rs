@@ -164,7 +164,12 @@ pub fn metrics_table(registry: &parsched_obs::MetricsRegistry, title: &str) -> F
             label: name.to_string(),
             static_mean: None,
             ts_mean: None,
-            extra: vec!["counter".into(), String::new(), String::new(), format!("{value}")],
+            extra: vec![
+                "counter".into(),
+                String::new(),
+                String::new(),
+                format!("{value}"),
+            ],
         });
     }
     FigureTable {

@@ -93,14 +93,16 @@ fn event_stream_is_well_formed() {
         assert!(w[0].0 <= w[1].0, "event stream out of order");
     }
     // Every job arrives, loads and finishes exactly once.
-    let count = |f: &dyn Fn(&ObsEvent) -> bool| {
-        obs.events.iter().filter(|(_, e)| f(e)).count() as u32
-    };
+    let count =
+        |f: &dyn Fn(&ObsEvent) -> bool| obs.events.iter().filter(|(_, e)| f(e)).count() as u32;
     assert_eq!(count(&|e| matches!(e, ObsEvent::JobArrived { .. })), jobs);
     assert_eq!(count(&|e| matches!(e, ObsEvent::JobLoaded { .. })), jobs);
     assert_eq!(count(&|e| matches!(e, ObsEvent::JobFinished { .. })), jobs);
     // Under time-sharing every job is admitted to some partition.
-    assert_eq!(count(&|e| matches!(e, ObsEvent::PartitionAdmit { .. })), jobs);
+    assert_eq!(
+        count(&|e| matches!(e, ObsEvent::PartitionAdmit { .. })),
+        jobs
+    );
     // Message sends pair with deliveries, hops pair start/end.
     assert_eq!(
         count(&|e| matches!(e, ObsEvent::MsgSend { .. })),

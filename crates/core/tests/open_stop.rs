@@ -18,7 +18,11 @@ fn stopped_run(
     horizon: SimTime,
     reference: bool,
 ) -> ((String, String, u64), CpuExpressStats) {
-    let mut cfg = ExperimentConfig::paper(4, TopologyKind::Hypercube { dim: 0 }, PolicyKind::TimeSharing);
+    let mut cfg = ExperimentConfig::paper(
+        4,
+        TopologyKind::Hypercube { dim: 0 },
+        PolicyKind::TimeSharing,
+    );
     cfg.discipline = discipline;
     let params = SyntheticParams {
         mean_demand: SimDuration::from_millis(60),
@@ -31,7 +35,12 @@ fn stopped_run(
     for i in 0..40u64 {
         arrivals.push(SimTime(i * 7_654_321));
         let demand = SimDuration::from_millis(20 + (i * 37) % 150);
-        batch.push(synthetic_job(format!("open{i}"), demand, &params, &CostModel::default()));
+        batch.push(synthetic_job(
+            format!("open{i}"),
+            demand,
+            &params,
+            &CostModel::default(),
+        ));
     }
     let plan = cfg.try_plan().expect("plan");
     let mut machine = Machine::new(cfg.machine.clone(), SystemNet::from_plan(&plan));
