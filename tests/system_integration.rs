@@ -396,3 +396,64 @@ fn gang_with_open_arrivals_completes() {
     assert_eq!(r.stats.jobs_completed, 10);
     assert_eq!(r.stats.messages_sent, r.stats.messages_consumed);
 }
+
+/// Every front door runs the same lifecycle, so on one shard-eligible
+/// configuration and batch they agree bit for bit: `run_batch`,
+/// `run_batch_observed`, `run_batch_with_arrivals` with every arrival at
+/// 0, and `run_batch_sharded` at K = 1 and at K = 2, whose four jobs land
+/// on partitions 0..=3, all in shard 0 of eight partitions, so it takes a
+/// sequential exit. `run_open_stream` under `StopRule::Completions`
+/// finishes the same synthetic jobs at the same instants as
+/// `run_batch_with_arrivals` given their arrival times.
+#[test]
+fn front_doors_agree_bit_for_bit() {
+    let cfg = ExperimentConfig {
+        system_size: 32,
+        ..ExperimentConfig::paper(
+            4,
+            TopologyKind::Hypercube { dim: 0 },
+            PolicyKind::TimeSharing,
+        )
+    };
+    let mut open = OpenConfig::new(cfg.clone(), 1);
+    open.warmup = 0;
+    open.stop = StopRule::Completions(4);
+    let demands = [30, 5, 12, 21].map(SimDuration::from_millis).to_vec();
+    let cost = CostModel::default();
+    let batch: Vec<JobSpec> = demands
+        .iter()
+        .enumerate()
+        .map(|(i, &d)| synthetic_job(format!("open{i}"), d, &open.params, &cost))
+        .collect();
+
+    let front = run_batch(&cfg, batch.clone()).unwrap();
+    let (observed, _) = run_batch_observed(&cfg, batch.clone()).unwrap();
+    let at_zero = run_batch_with_arrivals(&cfg, batch.clone(), vec![SimTime::ZERO; 4]).unwrap();
+    for (door, r) in [("observed", &observed), ("arrivals at 0", &at_zero)] {
+        assert_eq!(r.response_times, front.response_times, "{door}");
+        assert_eq!(r.makespan, front.makespan, "{door}");
+        assert_eq!(r.events, front.events, "{door}");
+    }
+    for k in [1, 2] {
+        let r = run_batch_sharded(&cfg, batch.clone(), k).unwrap();
+        assert_eq!(r.shards, 1, "k={k}");
+        assert_eq!(r.fallback.is_some(), k > 1, "k={k}: {:?}", r.fallback);
+        assert_eq!(r.response_times, front.response_times, "k={k}");
+        assert_eq!(r.makespan, front.makespan, "k={k}");
+        assert_eq!(r.events, front.events, "k={k}");
+    }
+
+    let times = [0, 3, 7, 20]
+        .map(|ms| SimTime::ZERO + SimDuration::from_millis(ms))
+        .to_vec();
+    let arrived = run_batch_with_arrivals(&cfg, batch, times.clone()).unwrap();
+    let streamed = run_open_stream(&open, times.clone(), demands).unwrap();
+    let finished: Vec<Option<SimTime>> = streamed.records.iter().map(|r| r.finished).collect();
+    let expected: Vec<Option<SimTime>> = times
+        .iter()
+        .zip(&arrived.response_times)
+        .map(|(&t, &response)| Some(t + response))
+        .collect();
+    assert_eq!(finished, expected);
+    assert_eq!(streamed.end.since(SimTime::ZERO), arrived.makespan);
+}
