@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, the machine crate's format check, lint
+# Tier-1 gate: release build, the machine and core crates' format checks, lint
 # wall, full workspace test suite, the
 # perf binary's golden check (simulated results must match
 # BENCH_parsched.json bit-exactly — fault plans default to empty, so this
@@ -59,6 +59,7 @@ mode="${1:-tier1}"
 
 cargo build --release --workspace
 cargo fmt -p parsched-machine -- --check
+cargo fmt -p parsched-core -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace
 cargo run --release -p parsched-bench --bin perf -- --check --quick
