@@ -499,7 +499,7 @@ impl Machine {
     pub(super) fn on_hop_start(
         &mut self,
         msg: MsgId,
-        _edge: usize,
+        edge: usize,
         now: SimTime,
         sched: &mut impl EventScheduler<Event>,
     ) {
@@ -513,6 +513,8 @@ impl Machine {
             self.maybe_reclaim(msg);
             return;
         }
+        // `start_transfer` scheduled this start for the attempt's next edge.
+        debug_assert_eq!(edge, self.messages.live(msg).edges_started as usize);
         self.enqueue_channel(msg, now, sched);
     }
 }
