@@ -11,7 +11,7 @@ use crate::driver::Driver;
 use crate::policy::{Discipline, Placement, PolicyKind, QuantumRule};
 use parsched_des::{Engine, QueueKind, RunOutcome, SimDuration, SimTime, Summary};
 use parsched_machine::{
-    Event, JobSpec, Machine, MachineConfig, MachineMetrics, MachineStats, SystemNet,
+    Event, JobSpec, Machine, MachineConfig, MachineMetrics, MachineStats, Op, SystemNet,
 };
 use parsched_obs::{CollectRecorder, TimedEvent, TraceLayout};
 use parsched_topology::{config_label, PartitionPlan, PlanError, TopologyKind};
@@ -241,19 +241,42 @@ pub(crate) struct Run {
 }
 
 impl Run {
-    /// Check a run's inputs — every job has a process and `arrivals`, when
-    /// given, one instant per job — then plan its partitions. Nothing is
-    /// built before this passes.
+    /// Check a run's inputs — a multiprogramming limit of at least 1, every
+    /// job has a process and sends only to its own ranks, and `arrivals`,
+    /// when given, has one instant per job — then plan its partitions.
+    /// Nothing is built before this passes.
     pub(crate) fn prepare(
         config: &ExperimentConfig,
         batch: &[JobSpec],
         arrivals: Option<&[SimTime]>,
     ) -> Result<PartitionPlan, RunError> {
+        if config.mpl == Some(0) {
+            return Err(RunError::aborted(
+                "mpl 0 admits no job: the multiprogramming limit must be at least 1",
+            ));
+        }
         if let Some(job) = batch.iter().find(|j| j.procs.is_empty()) {
             return Err(RunError::aborted(format!(
                 "job '{}' has no processes: a job needs at least one",
                 job.name
             )));
+        }
+        for job in batch {
+            for (rank, proc) in job.procs.iter().enumerate() {
+                for op in &proc.program {
+                    if let Op::Send { to, .. } = op {
+                        if to.idx() >= job.width() {
+                            return Err(RunError::aborted(format!(
+                                "job '{}' process {rank} sends to rank {}, outside the \
+                                 job's {} ranks",
+                                job.name,
+                                to.0,
+                                job.width()
+                            )));
+                        }
+                    }
+                }
+            }
         }
         if let Some(arrivals) = arrivals.filter(|a| a.len() != batch.len()) {
             return Err(RunError::aborted(format!(

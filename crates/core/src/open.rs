@@ -22,7 +22,6 @@
 //! simulation, event for event, on either engine.
 
 use crate::experiment::{ExperimentConfig, Run, RunError};
-use crate::policy::PolicyKind;
 use parsched_arrivals::{
     mean_interarrival_for_load, ArrivalProcess, BoundedParetoDemand, ExponentialDemand,
     HyperexponentialDemand, PoissonArrivals, ServiceDemand,
@@ -439,15 +438,10 @@ pub fn sweep_load(config: &OpenConfig, rhos: &[f64]) -> Result<LoadSweep, RunErr
     })
 }
 
-/// The policy label a sweep row reports (exposed for the bench binary).
-pub fn policy_label(policy: PolicyKind) -> &'static str {
-    policy.label()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::Discipline;
+    use crate::policy::{Discipline, PolicyKind};
     use parsched_topology::TopologyKind;
 
     /// A small, fast open config: 4 single-node partitions, light jobs.

@@ -1218,6 +1218,46 @@ mod tests {
         }
     }
 
+    /// An MPL of 0 is refused before any driver is built, by `run_batch`
+    /// and by the sharded runner sequentially and at K = 2.
+    #[test]
+    fn zero_mpl_is_an_error_not_a_panic() {
+        let config = ExperimentConfig {
+            mpl: Some(0),
+            ..eligible_config()
+        };
+        let batch = chatty_batch(4);
+        let front = crate::experiment::run_batch(&config, batch.clone());
+        let errs = [1, 2].map(|k| run_batch_sharded(&config, batch.clone(), k).unwrap_err());
+        for err in std::iter::once(front.unwrap_err()).chain(errs) {
+            assert_eq!(err.outcome, None);
+            assert!(err.diagnosis.contains("mpl 0"), "{err}");
+        }
+    }
+
+    /// A send to a rank outside its own job is refused by job, process,
+    /// rank and width before it can index past the job's placement.
+    #[test]
+    fn send_outside_the_job_is_an_error_not_a_panic() {
+        let config = eligible_config();
+        let mut batch = chatty_batch(4);
+        batch[2].procs[1].program[1] = Op::Send {
+            to: Rank(99),
+            bytes: 64,
+            tag: Tag(2),
+        };
+        let front = crate::experiment::run_batch(&config, batch.clone());
+        let errs = [1, 2].map(|k| run_batch_sharded(&config, batch.clone(), k).unwrap_err());
+        for err in std::iter::once(front.unwrap_err()).chain(errs) {
+            assert_eq!(err.outcome, None);
+            assert!(
+                err.diagnosis
+                    .contains("job 'chat2' process 1 sends to rank 99, outside the job's 2 ranks"),
+                "{err}"
+            );
+        }
+    }
+
     #[test]
     fn ineligible_config_falls_back_with_reason() {
         let mut config = eligible_config();
