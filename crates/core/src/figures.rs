@@ -126,7 +126,7 @@ pub fn fig6(opts: &FigureOpts) -> Result<FigureTable, RunError> {
     figure(App::Sort, Arch::Adaptive, opts)
 }
 
-/// A1 — service-demand variance sweep (§5.2 / refs [2,3]): at high CV
+/// A1 — service-demand variance sweep (§5.2 / refs \[2,3\]): at high CV
 /// time-sharing overtakes static space-sharing.
 pub fn ablation_variance(opts: &FigureOpts) -> Result<FigureTable, RunError> {
     let cvs = [0.0, 0.5, 1.0, 2.0, 3.0, 5.0];

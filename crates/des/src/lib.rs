@@ -3,13 +3,13 @@
 //! The deterministic discrete-event simulation kernel underneath the
 //! `parsched` reproduction of Chan, Dandamudi & Majumdar (IPPS 1997).
 //!
-//! The kernel is domain-agnostic: it provides simulated [time](time), the
+//! The kernel is domain-agnostic: it provides simulated [time], the
 //! [event loop](engine) over a now-queue, one [future-event heap](queue)
 //! with lazy timer cancellation and two ordered lanes for event streams
 //! whose keys only increase, the [ordering primitives](order) a model
 //! uses to place work it defers in closed form, [output statistics](stats),
 //! a [deterministic RNG](rng) with labelled substreams, and a bounded
-//! [trace](trace) buffer. Everything Transputer-specific lives in
+//! [trace] buffer. Everything Transputer-specific lives in
 //! `parsched-machine` on top of this crate.
 //!
 //! ## Determinism

@@ -13,8 +13,8 @@
 //! * crashes and link windows are seeded as ordinary simulation events at
 //!   their declared times, so they order against all other events by the
 //!   engine's `(time, seq)` rule;
-//! * probabilistic drops draw from a dedicated [`DetRng`]
-//!   (`parsched_des::rng::DetRng`) stream seeded by `drop_seed`, with
+//! * probabilistic drops draw from a dedicated
+//!   [`DetRng`](parsched_des::rng::DetRng) stream seeded by `drop_seed`, with
 //!   exactly one draw per completed hop — never from shared state;
 //! * an **empty plan is free**: no RNG draw, no timer, no extra event, no
 //!   branch that schedules anything, so every golden output stays

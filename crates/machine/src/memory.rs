@@ -157,8 +157,9 @@ impl Mmu {
     }
 
     /// Allocate unconditionally, allowing the pool to overdraw (used for
-    /// transit buffers under [`FlowControl::InjectionLimited`]
-    /// (crate::config::FlowControl::InjectionLimited), which models a
+    /// transit buffers under
+    /// [`FlowControl::InjectionLimited`](crate::config::FlowControl::InjectionLimited),
+    /// which models a
     /// pre-reserved system buffer pool).
     pub fn force_alloc(&mut self, now: SimTime, bytes: u64) {
         self.take(now, bytes);

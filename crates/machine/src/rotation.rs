@@ -7,7 +7,7 @@
 //! quantum with work left, goes to the tail of the ready queue, and the
 //! head is dispatched. Slice `i` lasts `ctx_switch_low + Q_i`, so the
 //! boundaries before the first phase completion fall in uniform rounds and
-//! the completion instant is a closed form. A [`Window`] arms one
+//! the completion instant is a closed form. A `Window` arms one
 //! `SliceEnd` timer there instead of one per slice.
 //!
 //! Anything that touches the node *settles* the window at that point in

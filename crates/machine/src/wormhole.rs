@@ -334,7 +334,7 @@ pub struct WormholeState {
     pub credits: u64,
     /// Per-channel VC tables, parallel to the machine's channel state:
     /// they cover the partitions the machine has built
-    /// ([`WormholeState::grow`]).
+    /// (`WormholeState::grow`).
     pub chans: Vec<VcChannel>,
     /// Escape classes per link (one topology shape per machine).
     classes: u8,

@@ -9,11 +9,11 @@
 //!
 //! Three layers:
 //!
-//! * [`event`] — a compact [`ObsEvent`](event::ObsEvent) enum of simulation
+//! * [`event`] — a compact [`ObsEvent`] enum of simulation
 //!   events (job lifecycle, CPU quanta, message hops, partition admission)
-//!   recorded through the [`Recorder`](event::Recorder) trait. The disabled
+//!   recorded through the [`Recorder`] trait. The disabled
 //!   path is a single `Option` branch: no formatting, no allocation.
-//! * [`metrics`] — a [`MetricsRegistry`](metrics::MetricsRegistry) of
+//! * [`metrics`] — a [`MetricsRegistry`] of
 //!   counters and time-weighted gauges (piecewise-constant signals with
 //!   exact `value x duration` integrals) plus bounded change-point series.
 //! * [`chrome`] + [`ring`] — exporters: a Chrome-trace (catapult JSON)

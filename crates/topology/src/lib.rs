@@ -7,7 +7,7 @@
 //! deterministic [routing](route) (BFS, dimension-order, e-cube,
 //! up*/down*, dragonfly minimal/Valiant),
 //! [virtual-channel classes and deadlock analysis](flow) for the wormhole
-//! interconnect, [graph metrics](metrics) (diameter, average distance,
+//! interconnect, [graph metrics](mod@metrics) (diameter, average distance,
 //! bisection width), and the [partitioning](partition) of the system into
 //! equal sub-machines used by the space-sharing and hybrid policies.
 //!

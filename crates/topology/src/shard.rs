@@ -1,4 +1,4 @@
-//! Grouping a [`PartitionPlan`]'s partitions into simulation shards.
+//! Grouping a [`PartitionPlan`](crate::PartitionPlan)'s partitions into simulation shards.
 //!
 //! The sharded runner (`parsched-core::sharded`) splits one run into
 //! shards that each simulate a machine of their own partitions on their
