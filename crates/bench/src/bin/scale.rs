@@ -5,7 +5,8 @@
 //!                          torus, one short wormhole run at 16 384
 //!                          nodes, and one observed run on a machine
 //!                          crossing the old 65 536-node index ceiling
-//!                          (no goldens — the perf suite pins those)
+//!                          (no goldens — `tests/perf_goldens.rs`
+//!                          pins those)
 //! scale --ranking          the P10 experiment (EXPERIMENTS.md): does
 //!                          static ≻ hybrid ≻ time-sharing survive at
 //!                          16k–64k under wormhole on one fixed fabric,
@@ -187,7 +188,7 @@ fn smoke() {
     let t1 = std::time::Instant::now();
 
     // 2. One short wormhole run at 16 384 nodes (the t16k torus cell,
-    //    sequential, no golden — perf pins the goldens).
+    //    sequential, no golden — `tests/perf_goldens.rs` pins it).
     let (cfg, batch) = tscale(Cell4k::Torus, ScalePoint::T16k, Switching::Wormhole);
     let jobs = batch.len();
     let d = drive(&cfg, batch, false);

@@ -45,37 +45,14 @@
 //! of the scaling tables in `EXPERIMENTS.md`.
 
 use parsched_bench::scale::{
-    t4k, t4k_job, torus1k, torus4k, tscale, Cell1k, Cell4k, ScalePoint,
+    shard_scale, t4k, t4k_job, torus1k, torus4k, tscale, Cell1k, Cell4k, ScalePoint,
 };
 use parsched_core::prelude::*;
 use parsched_core::sharded::run_batch_sharded;
 use parsched_des::{SimDuration, SimTime};
 use parsched_machine::{FaultPlan, JobSpec, LinkWindow, Switching};
 use parsched_obs::{MetricsRegistry, ObsEvent, Recorder};
-use parsched_topology::TopologyKind;
 use std::time::Instant;
-
-/// The shard-scale machine from `perf`: 64 nodes in four 16-node
-/// hypercube partitions, the f3 workload family.
-fn config() -> (ExperimentConfig, Vec<JobSpec>) {
-    use parsched_workload::prelude::*;
-    let cfg = ExperimentConfig {
-        system_size: 64,
-        ..ExperimentConfig::paper(
-            16,
-            TopologyKind::Hypercube { dim: 0 },
-            PolicyKind::TimeSharing,
-        )
-    };
-    let batch = paper_batch(
-        App::MatMul,
-        Arch::Fixed,
-        16,
-        &BatchSizes::default(),
-        &CostModel::default(),
-    );
-    (cfg, batch)
-}
 
 fn assert_matches(seq: &ShardedRunResult, par: &ShardedRunResult, what: &str) {
     assert_eq!(
@@ -155,7 +132,7 @@ fn assert_collapses_to_one_shard(cfg: &ExperimentConfig, batch: &[JobSpec], what
 }
 
 fn smoke() {
-    let (cfg, batch) = config();
+    let (cfg, batch) = shard_scale();
     let seq = run_batch_sharded(&cfg, batch.clone(), 1).expect("sequential run completes");
     assert_eq!(seq.shards, 1);
 
@@ -176,7 +153,7 @@ fn smoke() {
     );
 
     // One K = 2 case per class the leader coordinates, on the 1024-node
-    // cells the perf goldens pin.
+    // cells whose goldens `tests/perf_goldens.rs` pins.
     let (s_cfg, s_batch) = torus1k(Cell1k::Static);
     assert_shards_bit_identically(&s_cfg, &s_batch, "static policy");
 
@@ -216,7 +193,7 @@ fn smoke() {
     assert_collapses_to_one_shard(&t64_cfg, &t64_batch, "t64k torus store-and-forward");
 
     // Wormhole smoke gate: one case per topology family under flit-level
-    // switching — the t4k cells whose goldens `perf --check` pins.
+    // switching — the t4k cells whose goldens `tests/perf_goldens.rs` pins.
     for cell in Cell4k::all() {
         let (w_cfg, w_batch) = t4k(cell, Switching::Wormhole);
         let what = format!("wormhole {} (t4k)", cell.label());
@@ -237,7 +214,7 @@ fn smoke() {
     assert_shards_bit_identically(&w_cfg, &w_batch, "wormhole fattree (t4k), 12 relay jobs");
 
     // An ineligible configuration must fall back, say why, and match.
-    let (mut g_cfg, g_batch) = config();
+    let (mut g_cfg, g_batch) = shard_scale();
     g_cfg.discipline = Discipline::Gang {
         slot: SimDuration::from_millis(4),
     };
@@ -289,7 +266,7 @@ fn phase_gauge_csv(r: &ShardedRunResult) -> String {
 /// records why a run used the sequential path (`-` when it sharded), so
 /// the reason travels with the numbers instead of vanishing into stderr.
 fn sweep(counts: &[usize]) -> (FigureTable, FigureTable, String) {
-    let (cfg, batch) = config();
+    let (cfg, batch) = shard_scale();
     let mut base_ns = 0u128;
     let mut reference: Option<ShardedRunResult> = None;
     let mut rows = Vec::new();

@@ -1,235 +1,27 @@
-//! Zero-dependency wall-clock benchmark harness.
+//! Host facts and the minimal JSON reader the repository benchmark uses.
 //!
-//! Measures a closure with a monotonic clock ([`std::time::Instant`]),
-//! discards `warmup` runs, reports the median of `iters` timed runs (the
-//! median is robust to the occasional scheduling hiccup a mean would
-//! absorb), and serializes results to a small JSON report
-//! (`BENCH_parsched.json`) so runs can be compared across commits.
-//!
-//! The report carries three sections:
-//!
-//! * `baseline` — scenario name → median nanoseconds, captured once before
-//!   an optimization lands and kept for comparison;
-//! * `golden` — scenario name → the scenario's *simulated* result
-//!   (`f64::to_bits` as a hex string) pinning bit-identical model output:
-//!   an optimization must move wall-clock time, never simulated time;
-//! * `current` — the most recent run's samples.
-//!
-//! JSON is written and read by the tiny serializer/parser below; the
-//! parser handles the full JSON grammar minus `\u` escapes, which the
-//! writer never emits.
+//! [`host_parallelism`] reports the logical CPUs a run could use, and
+//! [`parse_json`] reads JSON into a [`Value`]: the full grammar minus
+//! `\u` escapes. The benchmark (`src/bin/benchmark/`) builds its results
+//! records from [`Value`]s and reads them back with [`parse_json`], and the
+//! trace smoke test parses the exported Chrome trace with it.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::time::Instant;
 
-/// Iteration counts for one benchmark run.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchOpts {
-    /// Untimed runs before measurement (cache/allocator warmup).
-    pub warmup: u32,
-    /// Timed runs; the median is reported.
-    pub iters: u32,
-}
-
-impl Default for BenchOpts {
-    fn default() -> Self {
-        BenchOpts { warmup: 1, iters: 5 }
-    }
-}
-
-/// Logical CPUs visible to this process, for the report header: a shard
-/// scenario's speedup is only meaningful relative to the cores the host
-/// could actually give it.
+/// Logical CPUs visible to this process: a sharded run's speedup is only
+/// meaningful relative to the cores the host could actually give it.
 pub fn host_parallelism() -> u64 {
     std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
 }
 
-/// One benchmarked scenario's measurement.
-#[derive(Debug, Clone)]
-pub struct Sample {
-    /// Scenario name (stable across runs; keys the report maps).
-    pub name: String,
-    /// Untimed runs performed first.
-    pub warmup: u32,
-    /// Timed runs the statistics summarize.
-    pub iters: u32,
-    /// Worker threads the scenario runs with (1 = sequential; shard
-    /// scenarios report their shard count).
-    pub threads: u32,
-    /// Median wall-clock nanoseconds per run.
-    pub median_ns: u64,
-    /// Fastest run.
-    pub min_ns: u64,
-    /// Slowest run.
-    pub max_ns: u64,
-    /// The scenario's simulated result (e.g. mean response time in
-    /// seconds), if it produces one; pinned via the report's `golden` map.
-    pub metric: Option<f64>,
-    /// Simulated machine size (processors) the scenario models, when it
-    /// models one (`None` for micro-benchmarks); `None` in reports from
-    /// before the field existed.
-    pub nodes: Option<u64>,
-}
-
-/// Time `f` under `opts` and return the measurement. The closure returns
-/// the scenario's simulated metric (or `None` for pure micro-benchmarks);
-/// the returned value is routed through [`std::hint::black_box`] so the
-/// optimizer cannot elide the work.
-pub fn bench(opts: &BenchOpts, name: &str, mut f: impl FnMut() -> Option<f64>) -> Sample {
-    for _ in 0..opts.warmup {
-        std::hint::black_box(f());
-    }
-    let iters = opts.iters.max(1);
-    let mut times = Vec::with_capacity(iters as usize);
-    let mut metric = None;
-    for _ in 0..iters {
-        let start = Instant::now();
-        metric = std::hint::black_box(f());
-        times.push(start.elapsed().as_nanos() as u64);
-    }
-    times.sort_unstable();
-    let mid = times.len() / 2;
-    let median_ns = if times.len() % 2 == 1 {
-        times[mid]
-    } else {
-        (times[mid - 1] + times[mid]) / 2
-    };
-    Sample {
-        name: name.to_string(),
-        warmup: opts.warmup,
-        iters,
-        threads: 1,
-        median_ns,
-        min_ns: times[0],
-        max_ns: *times.last().unwrap(),
-        metric,
-        nodes: None,
-    }
-}
-
-/// The on-disk report (see the module docs for the section semantics).
-#[derive(Debug, Clone, Default)]
-pub struct Report {
-    /// Logical CPUs on the host that wrote the report
-    /// ([`host_parallelism`]); `None` in reports from before the field
-    /// existed.
-    pub host_parallelism: Option<u64>,
-    /// Pre-optimization medians: scenario name → nanoseconds.
-    pub baseline: BTreeMap<String, u64>,
-    /// Pinned simulated results: scenario name → `f64::to_bits` hex.
-    pub golden: BTreeMap<String, u64>,
-    /// Latest run.
-    pub current: Vec<Sample>,
-}
-
-impl Report {
-    /// Parse a report previously produced by [`Report::render`]. Returns
-    /// `None` when the file is missing or not a report.
-    pub fn load(path: &std::path::Path) -> Option<Report> {
-        let text = std::fs::read_to_string(path).ok()?;
-        let v = parse_json(&text)?;
-        let obj = v.as_object()?;
-        let mut report = Report {
-            host_parallelism: obj
-                .get("host_parallelism")
-                .and_then(Value::as_f64)
-                .map(|v| v as u64),
-            ..Report::default()
-        };
-        if let Some(b) = obj.get("baseline").and_then(Value::as_object) {
-            for (k, v) in b {
-                report.baseline.insert(k.clone(), v.as_f64()? as u64);
-            }
-        }
-        if let Some(g) = obj.get("golden").and_then(Value::as_object) {
-            for (k, v) in g {
-                // Hex entries carry the exact bits; their human-readable
-                // `<name>_value` companions are skipped here.
-                let Some(hex) = v.as_str().and_then(|s| s.strip_prefix("0x")) else {
-                    continue;
-                };
-                let bits = u64::from_str_radix(hex, 16).ok()?;
-                report.golden.insert(k.clone(), bits);
-            }
-        }
-        if let Some(cur) = obj.get("current").and_then(Value::as_array) {
-            for s in cur {
-                let s = s.as_object()?;
-                report.current.push(Sample {
-                    name: s.get("name")?.as_str()?.to_string(),
-                    warmup: s.get("warmup")?.as_f64()? as u32,
-                    iters: s.get("iters")?.as_f64()? as u32,
-                    // Absent in reports from before the field existed.
-                    threads: s.get("threads").and_then(Value::as_f64).map_or(1, |v| v as u32),
-                    median_ns: s.get("median_ns")?.as_f64()? as u64,
-                    min_ns: s.get("min_ns")?.as_f64()? as u64,
-                    max_ns: s.get("max_ns")?.as_f64()? as u64,
-                    metric: s.get("metric").and_then(Value::as_f64),
-                    // Absent in reports from before the field existed.
-                    nodes: s.get("nodes").and_then(Value::as_f64).map(|v| v as u64),
-                });
-            }
-        }
-        Some(report)
-    }
-
-    /// Serialize to the JSON layout [`Report::load`] reads back.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"parsched-bench/v1\",");
-        if let Some(hp) = self.host_parallelism {
-            let _ = write!(out, "\n  \"host_parallelism\": {hp},");
-        }
-        out.push_str("\n  \"baseline\": {");
-        for (i, (k, v)) in self.baseline.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    \"{k}\": {v}");
-        }
-        out.push_str("\n  },\n  \"golden\": {");
-        for (i, (k, bits)) in self.golden.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    \"{k}\": \"0x{bits:016x}\",\n    \"{k}_value\": \"{}\"",
-                f64::from_bits(*bits)
-            );
-        }
-        out.push_str("\n  },\n  \"current\": [");
-        for (i, s) in self.current.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    {{\"name\": \"{}\", \"warmup\": {}, \"iters\": {}, \
-                 \"threads\": {}, \"median_ns\": {}, \"min_ns\": {}, \"max_ns\": {}",
-                s.name, s.warmup, s.iters, s.threads, s.median_ns, s.min_ns, s.max_ns
-            );
-            if let Some(m) = s.metric {
-                // `{:?}` prints the shortest digits that round-trip an f64.
-                let _ = write!(out, ", \"metric\": {m:?}");
-            }
-            if let Some(n) = s.nodes {
-                let _ = write!(out, ", \"nodes\": {n}");
-            }
-            out.push('}');
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-}
-
-// `golden` entries are written in pairs (`name` = exact bits, `name_value` =
-// human-readable); `load` keys off the hex entries, so strip the `_value`
-// companions when iterating — see `Report::load`.
-
-/// Minimal JSON value for the report's own schema.
+/// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (the report never needs > 53-bit integers).
+    /// Any JSON number (as an `f64`: integers above 2^53 lose precision).
     Num(f64),
     /// String (no `\u` escapes).
     Str(String),
@@ -362,7 +154,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Option<Value> {
                             b'n' => '\n',
                             b't' => '\t',
                             b'r' => '\r',
-                            _ => return None, // \u etc: never emitted
+                            _ => return None, // \u escapes are not supported
                         };
                         s.push(c);
                         *pos += 1;
@@ -403,96 +195,8 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Option<Value> {
 }
 
 #[cfg(test)]
-impl Report {
-    /// Test-only: parse from a string instead of a file. Each call uses
-    /// its own file so parallel tests never race on the path.
-    fn load_from_str(text: &str) -> Option<Report> {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "parsched-bench-test-{}-{}.json",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&dir, text).ok()?;
-        let r = Report::load(&dir);
-        let _ = std::fs::remove_file(&dir);
-        r
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn median_of_odd_and_even_runs() {
-        let opts = BenchOpts { warmup: 0, iters: 5 };
-        let s = bench(&opts, "noop", || Some(1.25));
-        assert_eq!(s.iters, 5);
-        assert!(s.min_ns <= s.median_ns && s.median_ns <= s.max_ns);
-        assert_eq!(s.metric, Some(1.25));
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let mut r = Report {
-            host_parallelism: Some(8),
-            ..Report::default()
-        };
-        r.baseline.insert("f3".into(), 123_456_789);
-        r.golden.insert("f3".into(), 6.584f64.to_bits());
-        r.current.push(Sample {
-            name: "f3".into(),
-            warmup: 1,
-            iters: 5,
-            threads: 4,
-            median_ns: 98_765_432,
-            min_ns: 90_000_000,
-            max_ns: 110_000_000,
-            metric: Some(6.584),
-            nodes: Some(16),
-        });
-        let text = r.render();
-        let back = Report::load_from_str(&text).expect("parses");
-        assert_eq!(back.host_parallelism, Some(8));
-        assert_eq!(back.baseline, r.baseline);
-        assert_eq!(back.golden, r.golden);
-        assert_eq!(back.current.len(), 1);
-        assert_eq!(back.current[0].threads, 4);
-        assert_eq!(back.current[0].median_ns, 98_765_432);
-        assert_eq!(back.current[0].metric, Some(6.584));
-        assert_eq!(back.current[0].nodes, Some(16));
-    }
-
-    #[test]
-    fn golden_hex_entries_have_no_stray_space() {
-        let mut r = Report::default();
-        r.golden.insert("cell".into(), 1.5f64.to_bits());
-        let text = r.render();
-        assert!(
-            !text.contains("\" ,"),
-            "golden hex entries must not carry a space before the comma"
-        );
-        assert!(text.contains("\"0x3ff8000000000000\","), "{text}");
-    }
-
-    #[test]
-    fn reports_without_new_fields_still_load() {
-        // A pre-upgrade report: no host_parallelism, no threads, no nodes.
-        let text = r#"{
-  "schema": "parsched-bench/v1",
-  "baseline": { "f3": 100 },
-  "golden": { "f3": "0x3ff8000000000000" },
-  "current": [
-    {"name": "f3", "warmup": 1, "iters": 5, "median_ns": 90, "min_ns": 80, "max_ns": 95}
-  ]
-}"#;
-        let back = Report::load_from_str(text).expect("parses");
-        assert_eq!(back.host_parallelism, None);
-        assert_eq!(back.current[0].threads, 1);
-        assert_eq!(back.current[0].nodes, None);
-    }
 
     #[test]
     fn parser_rejects_trailing_garbage() {

@@ -1,10 +1,11 @@
 //! # parsched-bench
 //!
-//! The in-tree benchmark [`harness`] (zero-dependency wall-clock timing:
-//! monotonic clock, warmup, median-of-N, JSON report) plus two binaries:
-//! `src/bin/figures.rs` regenerates the paper's rows/series, and
-//! `src/bin/perf.rs` times the simulator's hot paths against the committed
-//! baseline in `BENCH_parsched.json`.
+//! The multi-partition cells of [`scale`], shared by the `shards` and
+//! `scale` binaries and the root `perf_goldens` test, and the [`harness`]
+//! helpers the repository benchmark reads JSON with. The binaries under
+//! `src/bin/` regenerate the paper's tables (`figures`) and drive the
+//! trace, fault, shard, arrival and scale smoke gates; `src/bin/benchmark/`
+//! is the repository benchmark.
 
 #![warn(missing_docs)]
 

@@ -1,6 +1,8 @@
-//! Large-machine cells shared by the `perf` and `shards` binaries.
+//! Multi-partition cells shared by the `shards` binary and the root
+//! `perf_goldens` test.
 //!
-//! A 1024-node torus (32 x 32, sixteen 64-node partitions) exercises the
+//! The shard-scale machine is the smallest that shards: the paper's
+//! 16-node hypercube partition, four times over. A 1024-node torus (32 x 32, sixteen 64-node partitions) exercises the
 //! sharding classes the leader coordinates, at a scale where shard
 //! parallelism has real work to split: one cell per class — static
 //! space-sharing, the hybrid discipline (time-sharing under an MPL cap),
@@ -19,6 +21,30 @@ use parsched_core::prelude::*;
 use parsched_des::{SimDuration, SimTime};
 use parsched_machine::{JobSpec, NodeCrash, Op, ProcSpec, Rank, Tag, Switching};
 use parsched_topology::TopologyKind;
+use parsched_workload::prelude::*;
+
+/// The shard-scale machine: 64 nodes in four 16-node hypercube partitions
+/// under uncoordinated time-sharing, with the paper's fixed-architecture
+/// matmul batch sized to multiprogram every partition. The 16-node paper
+/// machine is a single partition and cannot shard.
+pub fn shard_scale() -> (ExperimentConfig, Vec<JobSpec>) {
+    let cfg = ExperimentConfig {
+        system_size: 64,
+        ..ExperimentConfig::paper(
+            16,
+            TopologyKind::Hypercube { dim: 0 },
+            PolicyKind::TimeSharing,
+        )
+    };
+    let batch = paper_batch(
+        App::MatMul,
+        Arch::Fixed,
+        16,
+        &BatchSizes::default(),
+        &CostModel::default(),
+    );
+    (cfg, batch)
+}
 
 /// The three pinned 1024-node cells, one per coordinated sharding class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

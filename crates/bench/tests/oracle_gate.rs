@@ -1,11 +1,12 @@
 //! Differential gate for the benchmarked configurations.
 //!
-//! `src/bin/perf.rs` times the F3 cell (16-node hypercube, full paper
-//! batch) and pins its simulated result in the golden map — so a hot-path
-//! "optimization" that changes *behavior* would show up there as a golden
-//! drift. This test closes the loop from the other side: the exact same
-//! configurations must also be bit-identical to the naive reference
-//! engine.
+//! The F3 cell (16-node hypercube, full paper batch) has its simulated
+//! results pinned bit-exactly: the static and time-sharing means in
+//! `tests/golden_f3.rs`'s 16H row and the MPL-4 hybrid in
+//! `tests/perf_goldens.rs` — so a hot-path "optimization" that changes
+//! *behavior* shows up there as a golden drift. This test closes the loop
+//! from the other side: the same configurations must also be
+//! bit-identical to the naive reference engine.
 
 use parsched_core::{Discipline, Placement};
 use parsched_machine::{FaultPlan, Switching};
@@ -13,9 +14,9 @@ use parsched_oracle::{run_differential, Order, PolicyClass, Scenario};
 use parsched_topology::TopologyKind;
 use parsched_workload::{App, Arch, BatchSizes};
 
-/// The F3 benchmark cell as a differential scenario: identical to
-/// `f3_config` in `src/bin/perf.rs` (paper config on the 16-node
-/// hypercube, default batch sizes, as-given order).
+/// The F3 cell as a differential scenario: the paper config on the
+/// 16-node hypercube, default batch sizes, as-given order — the cell the
+/// root goldens pin.
 fn f3_scenario(class: PolicyClass, mpl: Option<usize>) -> Scenario {
     Scenario {
         case: 0,
@@ -52,7 +53,7 @@ fn benchmarked_f3_cells_match_the_oracle() {
 
 #[test]
 fn benchmarked_mpl_cell_matches_the_oracle() {
-    // perf.rs also times the MPL-bounded time-sharing variant.
+    // The goldens also pin an MPL-bounded time-sharing variant.
     let scenario = f3_scenario(PolicyClass::PureTs, Some(2));
     if let Err(div) = run_differential(&scenario) {
         panic!("benchmarked MPL cell diverged:\n{div}");

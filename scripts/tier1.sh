@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, the machine and core crates' format checks, lint
-# wall, full workspace test suite, the
-# perf binary's golden check (simulated results must match
-# BENCH_parsched.json bit-exactly — fault plans default to empty, so this
-# also pins that the fault layer costs nothing when unused), a
+# Tier-1 gate: release build, the machine and core crates' format
+# checks, rustdoc with warnings denied, lint wall, and the full workspace
+# test suite. The suite includes the root `tests/perf_goldens.rs`, which
+# pins the simulated mean of every multi-partition cell bit-exactly — the
+# 64-node shard_scale machine, the 1024-node t1k cells and the t4k, t16k
+# and t64k wormhole-vs-store-and-forward relay cells, each run at 1, 2 and
+# 4 shards against one golden per family (fault plans default to empty,
+# so this also pins that the fault layer costs nothing when unused) — and
+# `tests/golden_f3.rs`, the full Figure 3 grid. Then: a
 # fault-injection smoke gate (one crash and one flaky-link scenario per
 # policy class, run twice with the oracle's invariant checkers on and
 # bit-identical replay asserted), a sharded-execution smoke gate (one
@@ -17,19 +21,14 @@
 # configs fall back with a reason), an open-system smoke gate (Poisson and heavy-tailed
 # arrival cells per policy class replay bit-identically and the
 # mean-response curve is monotone in offered load), and a trace-export
-# smoke run. The perf golden check also pins the shard_scale_* cells,
-# the 1024-node t1k_* cells, and the ~4096-node t4k_* wormhole-vs-
-# store-and-forward cells, asserting each family's sequential/2-shard/
-# 4-shard goldens are bit-equal, so sharded simulated results are gated
-# there too. The repository benchmark then runs once at full size
+# smoke run. The repository benchmark runs once at full size
 # (`benchmark --workload all --seed 88 --seconds 1`): its oracle check of
-# every workload and its default-shards-equals-K = 1 check gate here. A 16k-node smoke gate (`scale --smoke`) constructs and
-# routes a 128x128 torus, runs one short wormhole batch at 16 384 nodes,
-# and drives an observed run on a 70 225-node machine whose traffic must
-# cross the old 65 536 node-index ceiling — no goldens, just the widened
-# u32 index paths end to end. The heavier t16k_*/t64k_* perf cells are
-# pinned in BENCH_parsched.json but gated behind `perf --heavy` so the
-# standard tier-1 wall-clock stays flat.
+# every workload and its default-shards-equals-K = 1 check gate here. A
+# 16k-node smoke gate (`scale --smoke`) constructs and routes a 128x128
+# torus, runs one short wormhole batch at 16 384 nodes, and drives an
+# observed run on a 70 225-node machine whose traffic must cross the old
+# 65 536 node-index ceiling — no goldens, just the widened u32 index
+# paths end to end.
 # Everything runs offline; no network access required.
 #
 #   scripts/tier1.sh             the standard gate
@@ -60,9 +59,9 @@ mode="${1:-tier1}"
 cargo build --release --workspace
 cargo fmt -p parsched-machine -- --check
 cargo fmt -p parsched-core -- --check
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace
-cargo run --release -p parsched-bench --bin perf -- --check --quick
 # The repository benchmark's own verification at full size: every
 # workload's cells must match the differential oracle bit for bit, and
 # saf64k's default shard count must reproduce K = 1. One second of timing
