@@ -90,7 +90,10 @@ fn smoke() {
                 first.measured, 25,
                 "{name}/{demand_name}: measured sample incomplete"
             );
-            assert_eq!(first.unfinished, 0, "{name}/{demand_name}: jobs left behind");
+            assert_eq!(
+                first.unfinished, 0,
+                "{name}/{demand_name}: jobs left behind"
+            );
             let again = run_open_system(&cfg, 0.5)
                 .unwrap_or_else(|e| panic!("{name}/{demand_name} rerun failed: {e}"));
             assert_eq!(

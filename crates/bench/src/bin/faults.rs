@@ -146,10 +146,30 @@ fn sweep() {
 /// deterministic replay asserted.
 fn smoke() {
     let cases = [
-        ("static/crash", TopologyKind::Linear, PolicyKind::Static, crash_plan()),
-        ("static/flaky", TopologyKind::Linear, PolicyKind::Static, flaky_plan()),
-        ("ts/crash", TopologyKind::Hypercube { dim: 0 }, PolicyKind::TimeSharing, crash_plan()),
-        ("ts/flaky", TopologyKind::Hypercube { dim: 0 }, PolicyKind::TimeSharing, flaky_plan()),
+        (
+            "static/crash",
+            TopologyKind::Linear,
+            PolicyKind::Static,
+            crash_plan(),
+        ),
+        (
+            "static/flaky",
+            TopologyKind::Linear,
+            PolicyKind::Static,
+            flaky_plan(),
+        ),
+        (
+            "ts/crash",
+            TopologyKind::Hypercube { dim: 0 },
+            PolicyKind::TimeSharing,
+            crash_plan(),
+        ),
+        (
+            "ts/flaky",
+            TopologyKind::Hypercube { dim: 0 },
+            PolicyKind::TimeSharing,
+            flaky_plan(),
+        ),
     ];
     for (name, topology, policy, plan) in cases {
         let cfg = config(topology, policy, plan);

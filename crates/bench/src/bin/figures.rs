@@ -18,18 +18,54 @@ const FIGURES: &[(&str, &str, FigFn)] = &[
     ("fig4", "Figure 4: matmul, adaptive architecture", fig4),
     ("fig5", "Figure 5: sort, fixed architecture", fig5),
     ("fig6", "Figure 6: sort, adaptive architecture", fig6),
-    ("a1", "Ablation A1: service-demand variance crossover", ablation_variance),
+    (
+        "a1",
+        "Ablation A1: service-demand variance crossover",
+        ablation_variance,
+    ),
     ("a2", "Ablation A2: topology sensitivity", ablation_topology),
     ("a3", "Ablation A3: wormhole conjecture", ablation_wormhole),
     ("a4", "Ablation A4: quantum rule and size", ablation_quantum),
-    ("a5", "Ablation A5: hybrid set-size (MPL) tuning", ablation_mpl),
-    ("a6", "Ablation A6: system-overhead sensitivity", ablation_overheads),
-    ("a7", "Ablation A7: memory-size sensitivity", ablation_memory),
-    ("a8", "Ablation A8: flow-control design choice", ablation_flow_control),
-    ("a9", "Ablation A9: gang scheduling vs uncoordinated", ablation_gang),
-    ("a10", "Ablation A10: open-arrival load sweep", ablation_load),
-    ("a11", "Ablation A11: pipeline workload & coscheduling", ablation_pipeline),
-    ("a12", "Ablation A12: space-sharing partition-size tuning", ablation_partition_tuning),
+    (
+        "a5",
+        "Ablation A5: hybrid set-size (MPL) tuning",
+        ablation_mpl,
+    ),
+    (
+        "a6",
+        "Ablation A6: system-overhead sensitivity",
+        ablation_overheads,
+    ),
+    (
+        "a7",
+        "Ablation A7: memory-size sensitivity",
+        ablation_memory,
+    ),
+    (
+        "a8",
+        "Ablation A8: flow-control design choice",
+        ablation_flow_control,
+    ),
+    (
+        "a9",
+        "Ablation A9: gang scheduling vs uncoordinated",
+        ablation_gang,
+    ),
+    (
+        "a10",
+        "Ablation A10: open-arrival load sweep",
+        ablation_load,
+    ),
+    (
+        "a11",
+        "Ablation A11: pipeline workload & coscheduling",
+        ablation_pipeline,
+    ),
+    (
+        "a12",
+        "Ablation A12: space-sharing partition-size tuning",
+        ablation_partition_tuning,
+    ),
 ];
 
 fn main() {
@@ -108,8 +144,7 @@ fn main() {
                 }
                 if let Some(dir) = &out_dir {
                     let base = std::path::Path::new(dir).join(id);
-                    std::fs::write(base.with_extension("csv"), table.to_csv())
-                        .expect("write csv");
+                    std::fs::write(base.with_extension("csv"), table.to_csv()).expect("write csv");
                     std::fs::write(base.with_extension("md"), table.to_markdown())
                         .expect("write markdown");
                 }

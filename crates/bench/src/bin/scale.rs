@@ -98,13 +98,19 @@ fn ranking(skip_64k: bool) {
              {} width-64 jobs (mean demand 2 s), host link zeroed",
             4 * parts
         );
-        println!("{:>6} {:>10} {:>10} {:>10} {:>12}", "cv", "static", "hybrid2", "ts", "ts/static");
+        println!(
+            "{:>6} {:>10} {:>10} {:>10} {:>12}",
+            "cv", "static", "hybrid2", "ts", "ts/static"
+        );
         for (i, &cv) in cvs.iter().enumerate() {
             let batch = ranking_batch(parts, i as u64, cv);
             let st = ranking_cell(parts, PolicyKind::Static, None, batch.clone());
             let hy = ranking_cell(parts, PolicyKind::TimeSharing, Some(2), batch.clone());
             let ts = ranking_cell(parts, PolicyKind::TimeSharing, None, batch);
-            println!("{cv:>6.1} {st:>10.3} {hy:>10.3} {ts:>10.3} {:>12.3}", ts / st);
+            println!(
+                "{cv:>6.1} {st:>10.3} {hy:>10.3} {ts:>10.3} {:>12.3}",
+                ts / st
+            );
         }
         println!();
     }
@@ -121,10 +127,16 @@ fn assert_route(topo: &Topology, router: &Router, src: usize, dst: usize) {
         let next = router
             .next_hop(cur, dst)
             .unwrap_or_else(|| panic!("no hop at {cur} toward {dst}"));
-        assert!(topo.neighbors(cur).contains(&next), "hop {cur} -> {next} is not an edge");
+        assert!(
+            topo.neighbors(cur).contains(&next),
+            "hop {cur} -> {next} is not an edge"
+        );
         cur = next;
         hops += 1;
-        assert!(hops <= topo.len(), "route {src} -> {dst} does not terminate");
+        assert!(
+            hops <= topo.len(),
+            "route {src} -> {dst} does not terminate"
+        );
     }
 }
 
@@ -146,7 +158,11 @@ fn drive(cfg: &ExperimentConfig, batch: Vec<JobSpec>, observe: bool) -> Driver {
     let mut engine: Engine<Event> = Engine::new(cfg.queue);
     engine.max_events = cfg.machine.max_events;
     driver.start(&mut engine);
-    assert_eq!(engine.run(&mut driver), RunOutcome::Drained, "run did not drain");
+    assert_eq!(
+        engine.run(&mut driver),
+        RunOutcome::Drained,
+        "run did not drain"
+    );
     assert!(driver.all_done(), "run left jobs unfinished");
     driver
 }
@@ -184,7 +200,10 @@ fn smoke() {
     for (s, d) in [(0, 16_383), (1, 8_200), (16_000, 77)] {
         assert_route(&topo, &router, s, d);
     }
-    println!("scale --smoke: 128x128 torus constructs and routes [{:.2?}]", t0.elapsed());
+    println!(
+        "scale --smoke: 128x128 torus constructs and routes [{:.2?}]",
+        t0.elapsed()
+    );
     let t1 = std::time::Instant::now();
 
     // 2. One short wormhole run at 16 384 nodes (the t16k torus cell,
@@ -195,7 +214,10 @@ fn smoke() {
     let mean = mean_response(&d);
     assert!(mean.is_finite() && mean > 0.0, "16k mean response {mean}");
     let (built, parts) = assert_built_only_where_jobs_landed(&d, "16k wormhole run");
-    assert!(built <= jobs && built < parts, "{jobs} jobs built {built} of {parts} partitions");
+    assert!(
+        built <= jobs && built < parts,
+        "{jobs} jobs built {built} of {parts} partitions"
+    );
     println!(
         "scale --smoke: 16 384-node wormhole run OK (mean response {mean:.3} s, \
          built {built} of {parts} partitions) [{:.2?}]",
@@ -242,7 +264,10 @@ fn smoke() {
         .collect();
     let mut d = drive(&cfg, batch, true);
     let mean = mean_response(&d);
-    assert!(mean.is_finite() && mean > 0.0, "crossing mean response {mean}");
+    assert!(
+        mean.is_finite() && mean > 0.0,
+        "crossing mean response {mean}"
+    );
     assert_built_only_where_jobs_landed(&d, "crossing run");
     let mut recorder = d.machine.recorder.take().expect("recorder installed");
     let events = recorder

@@ -72,11 +72,7 @@ fn assert_matches(seq: &ShardedRunResult, par: &ShardedRunResult, what: &str) {
 /// Every shard of a parallel run simulates only its own partitions: the
 /// shards' machines together cover the machine exactly once, and each
 /// builds at most the partitions it owns.
-fn assert_shards_own_their_partitions(
-    cfg: &ExperimentConfig,
-    par: &ShardedRunResult,
-    what: &str,
-) {
+fn assert_shards_own_their_partitions(cfg: &ExperimentConfig, par: &ShardedRunResult, what: &str) {
     let nodes: Vec<usize> = par.timings.iter().map(|t| t.nodes).collect();
     let built: Vec<usize> = par.timings.iter().map(|t| t.built_nodes).collect();
     assert_eq!(
@@ -103,8 +99,11 @@ fn assert_shards_bit_identically(cfg: &ExperimentConfig, batch: &[JobSpec], what
     assert_eq!(par.shards, 2, "{what}: must use 2 shards");
     assert_matches(&seq, &par, what);
     assert_shards_own_their_partitions(cfg, &par, what);
-    let built: Vec<String> =
-        par.timings.iter().map(|t| format!("{}/{}", t.built_nodes, t.nodes)).collect();
+    let built: Vec<String> = par
+        .timings
+        .iter()
+        .map(|t| format!("{}/{}", t.built_nodes, t.nodes))
+        .collect();
     println!(
         "shards --smoke: {what}: OK (K=2 bit-identical; built/owned nodes per shard {})",
         built.join(", ")
@@ -188,8 +187,7 @@ fn smoke() {
     assert_collapses_to_one_shard(&t4_cfg, &t4_batch, what);
 
     // The largest store-and-forward cell: 65 792 nodes.
-    let (t64_cfg, t64_batch) =
-        tscale(Cell4k::Torus, ScalePoint::T64k, Switching::StoreAndForward);
+    let (t64_cfg, t64_batch) = tscale(Cell4k::Torus, ScalePoint::T64k, Switching::StoreAndForward);
     assert_collapses_to_one_shard(&t64_cfg, &t64_batch, "t64k torus store-and-forward");
 
     // Wormhole smoke gate: one case per topology family under flit-level
@@ -242,7 +240,14 @@ fn phase_gauge_csv(r: &ShardedRunResult) -> String {
     let mut rec = parsched_obs::CollectRecorder::new();
     for (s, t) in r.timings.iter().enumerate() {
         for (phase, ns) in [(0u8, t.work_ns), (1, t.barrier_ns), (2, t.merge_ns)] {
-            rec.record(end, ObsEvent::ShardPhase { shard: s as u16, phase, ns });
+            rec.record(
+                end,
+                ObsEvent::ShardPhase {
+                    shard: s as u16,
+                    phase,
+                    ns,
+                },
+            );
         }
     }
     let mut reg = MetricsRegistry::new(SimTime::ZERO);

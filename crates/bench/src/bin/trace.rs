@@ -56,7 +56,9 @@ fn main() {
     };
     let label = args
         .iter()
-        .find(|a| !a.starts_with("--") && Some(*a) != flag("--policy") && Some(*a) != flag("--out-dir"))
+        .find(|a| {
+            !a.starts_with("--") && Some(*a) != flag("--policy") && Some(*a) != flag("--out-dir")
+        })
         .cloned()
         .unwrap_or_else(|| "16H".to_string());
     let policy = match flag("--policy").map(String::as_str) {
@@ -68,8 +70,7 @@ fn main() {
         }
     };
     let out_dir = PathBuf::from(flag("--out-dir").cloned().unwrap_or_else(|| ".".into()));
-    let Some((_, partition_size, topology)) =
-        configs.iter().find(|(l, _, _)| *l == label).cloned()
+    let Some((_, partition_size, topology)) = configs.iter().find(|(l, _, _)| *l == label).cloned()
     else {
         eprintln!("trace: unknown configuration {label:?}; use --list");
         std::process::exit(2);
@@ -145,7 +146,10 @@ fn main() {
         .map(|n| reg.mean(obs.metrics.cpu_busy_id(n)))
         .sum::<f64>()
         / nodes as f64;
-    println!("  mean CPU utilization across {nodes} nodes: {:.1}%", 100.0 * mean_busy);
+    println!(
+        "  mean CPU utilization across {nodes} nodes: {:.1}%",
+        100.0 * mean_busy
+    );
     println!("trace written to {}", trace_path.display());
     println!("metrics written to {}", metrics_path.display());
     println!("open the trace at chrome://tracing or https://ui.perfetto.dev");

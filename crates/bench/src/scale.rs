@@ -19,7 +19,7 @@
 
 use parsched_core::prelude::*;
 use parsched_des::{SimDuration, SimTime};
-use parsched_machine::{JobSpec, NodeCrash, Op, ProcSpec, Rank, Tag, Switching};
+use parsched_machine::{JobSpec, NodeCrash, Op, ProcSpec, Rank, Switching, Tag};
 use parsched_topology::TopologyKind;
 use parsched_workload::prelude::*;
 
@@ -83,22 +83,40 @@ pub fn wide_job(i: usize, width: usize) -> JobSpec {
     let ms = 1_500 + (i % 7) as u64 * 400;
     let mut coord = Vec::new();
     for w in 1..width {
-        coord.push(Op::Send { to: Rank(w as u32), bytes: 4_096, tag: Tag(1) });
+        coord.push(Op::Send {
+            to: Rank(w as u32),
+            bytes: 4_096,
+            tag: Tag(1),
+        });
     }
     coord.push(Op::Compute(SimDuration::from_millis(ms)));
-    coord.push(Op::RecvAny { count: (width - 1) as u32, tag: Tag(2) });
-    let mut procs = vec![ProcSpec { program: coord, mem_bytes: 96_000 }];
+    coord.push(Op::RecvAny {
+        count: (width - 1) as u32,
+        tag: Tag(2),
+    });
+    let mut procs = vec![ProcSpec {
+        program: coord,
+        mem_bytes: 96_000,
+    }];
     for w in 1..width {
         procs.push(ProcSpec {
             program: vec![
                 Op::Recv { tag: Tag(1) },
                 Op::Compute(SimDuration::from_millis(ms / 2 + (w % 5) as u64 * 9)),
-                Op::Send { to: Rank(0), bytes: 2_048, tag: Tag(2) },
+                Op::Send {
+                    to: Rank(0),
+                    bytes: 2_048,
+                    tag: Tag(2),
+                },
             ],
             mem_bytes: 64_000,
         });
     }
-    JobSpec { name: format!("wide-{i}"), ship_bytes: 600_000, procs }
+    JobSpec {
+        name: format!("wide-{i}"),
+        ship_bytes: 600_000,
+        procs,
+    }
 }
 
 /// A 1024-node cell: 32 x 32 torus, sixteen 64-node partitions, 32 wide
@@ -119,8 +137,14 @@ pub fn torus1k(cell: Cell1k) -> (ExperimentConfig, Vec<JobSpec>) {
         // run for seconds): each kills a running job on a different
         // shard-side of the 2/4-way cuts, so requeues cross shards.
         cfg.machine.faults.crashes = vec![
-            NodeCrash { node: 70, at: SimTime(900_000_000) },
-            NodeCrash { node: 900, at: SimTime(2_600_000_000) },
+            NodeCrash {
+                node: 70,
+                at: SimTime(900_000_000),
+            },
+            NodeCrash {
+                node: 900,
+                at: SimTime(2_600_000_000),
+            },
         ];
     }
     let batch = (0..32).map(|i| wide_job(i, 64)).collect();
@@ -175,7 +199,10 @@ pub fn t4k_job(i: usize, width: usize) -> JobSpec {
     let stride = 21 + 2 * (i % 5); // odd: coprime to the power-of-two width
     let ms = 3 + (i % 4) as u64;
     let mut procs: Vec<ProcSpec> = (0..width)
-        .map(|_| ProcSpec { program: Vec::new(), mem_bytes: 160_000 })
+        .map(|_| ProcSpec {
+            program: Vec::new(),
+            mem_bytes: 160_000,
+        })
         .collect();
     let mut r = 0usize;
     for leg in 0..width {
@@ -184,13 +211,23 @@ pub fn t4k_job(i: usize, width: usize) -> JobSpec {
         if leg > 0 {
             procs[r].program.push(Op::Recv { tag: Tag(1) });
         }
-        procs[r].program.push(Op::Compute(SimDuration::from_millis(ms)));
-        procs[r].program.push(Op::Send { to: Rank(next as u32), bytes: 65_536, tag });
+        procs[r]
+            .program
+            .push(Op::Compute(SimDuration::from_millis(ms)));
+        procs[r].program.push(Op::Send {
+            to: Rank(next as u32),
+            bytes: 65_536,
+            tag,
+        });
         r = next;
     }
     assert_eq!(r, 0, "stride must return the baton to rank 0");
     procs[0].program.push(Op::Recv { tag: Tag(2) });
-    JobSpec { name: format!("t4k-{i}"), ship_bytes: 200_000, procs }
+    JobSpec {
+        name: format!("t4k-{i}"),
+        ship_bytes: 200_000,
+        procs,
+    }
 }
 
 /// One t4k cell under the given switching mode: the wormhole-vs-SAF
@@ -266,12 +303,12 @@ impl ScalePoint {
 /// by four so shard counts 2 and 4 cut along whole partitions).
 pub fn tscale_parts(cell: Cell4k, point: ScalePoint) -> usize {
     match (cell, point) {
-        (Cell4k::Torus, ScalePoint::T16k) => 256,      // 16 384
-        (Cell4k::Torus, ScalePoint::T64k) => 1028,     // 65 792
-        (Cell4k::FatTree, ScalePoint::T16k) => 80,     // 16 640
-        (Cell4k::FatTree, ScalePoint::T64k) => 316,    // 65 728
-        (Cell4k::Dragonfly, ScalePoint::T16k) => 208,  // 16 640
-        (Cell4k::Dragonfly, ScalePoint::T64k) => 824,  // 65 920
+        (Cell4k::Torus, ScalePoint::T16k) => 256,     // 16 384
+        (Cell4k::Torus, ScalePoint::T64k) => 1028,    // 65 792
+        (Cell4k::FatTree, ScalePoint::T16k) => 80,    // 16 640
+        (Cell4k::FatTree, ScalePoint::T64k) => 316,   // 65 728
+        (Cell4k::Dragonfly, ScalePoint::T16k) => 208, // 16 640
+        (Cell4k::Dragonfly, ScalePoint::T64k) => 824, // 65 920
     }
 }
 
@@ -281,7 +318,11 @@ pub fn tscale_parts(cell: Cell4k, point: ScalePoint) -> usize {
 /// routing, wormhole flow control, shard merge) at machine sizes past the
 /// old `u16` ceiling, not machine-saturating load; the ranking experiment
 /// (`scale --ranking`) is what loads every partition.
-pub fn tscale(cell: Cell4k, point: ScalePoint, switching: Switching) -> (ExperimentConfig, Vec<JobSpec>) {
+pub fn tscale(
+    cell: Cell4k,
+    point: ScalePoint,
+    switching: Switching,
+) -> (ExperimentConfig, Vec<JobSpec>) {
     let (base_cfg, batch) = t4k(cell, switching);
     let partition = base_cfg.partition_size;
     let cfg = ExperimentConfig {
