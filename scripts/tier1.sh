@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, the machine and core crates' format
+# Tier-1 gate: release build, the machine, core and bench crates' format
 # checks, rustdoc with warnings denied, lint wall, and the full workspace
 # test suite. The suite includes the root `tests/perf_goldens.rs`, which
 # pins the simulated mean of every multi-partition cell bit-exactly — the
@@ -59,6 +59,7 @@ mode="${1:-tier1}"
 cargo build --release --workspace
 cargo fmt -p parsched-machine -- --check
 cargo fmt -p parsched-core -- --check
+cargo fmt -p parsched-bench -- --check
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace
