@@ -1,13 +1,14 @@
-//! Multi-partition cells shared by the `shards` binary and the root
-//! `perf_goldens` test.
+//! Multi-partition cells shared by the `shards` and `scale` binaries and
+//! the root `perf_goldens` test.
 //!
 //! The shard-scale machine is the smallest that shards: the paper's
-//! 16-node hypercube partition, four times over. A 1024-node torus (32 x 32, sixteen 64-node partitions) exercises the
-//! sharding classes the leader coordinates, at a scale where shard
-//! parallelism has real work to split: one cell per class — static
-//! space-sharing, the hybrid discipline (time-sharing under an MPL cap),
-//! and time-sharing under a two-crash fault plan. A 4096-node torus
-//! (64 x 64) provides a smoke-size uncoordinated time-sharing case.
+//! 16-node hypercube partition, four times over. A 1024-node torus
+//! (32 x 32, sixteen 64-node partitions) exercises the sharding classes
+//! the leader coordinates, at a scale where shard parallelism has real
+//! work to split: one cell per class — static space-sharing, the hybrid
+//! discipline (time-sharing under an MPL cap), and time-sharing under a
+//! two-crash fault plan. A 4096-node torus (64 x 64) provides a
+//! smoke-size uncoordinated time-sharing case.
 //!
 //! The batch is a synthetic compute-bound fan-out/fan-in job family
 //! rather than the paper's matmul: a 64-wide matmul's replicated B matrix

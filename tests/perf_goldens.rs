@@ -55,18 +55,18 @@ const SHARDS: [usize; 3] = [1, 2, 4];
 type Run = (String, Option<usize>, f64);
 
 /// Run one shard family at every shard count, checking each result with
-/// `used` before recording its mean.
+/// `check` before recording its mean.
 fn family(
     runs: &mut Vec<Run>,
-    row: String,
+    row: &str,
     (cfg, batch): (ExperimentConfig, Vec<JobSpec>),
-    used: impl Fn(&ShardedRunResult, usize),
+    check: impl Fn(&ShardedRunResult, usize),
 ) {
     for k in SHARDS {
         let r = run_batch_sharded(&cfg, batch.clone(), k)
             .unwrap_or_else(|e| panic!("{row} at K = {k}: {e}"));
-        used(&r, k);
-        runs.push((row.clone(), Some(k), r.mean_response()));
+        check(&r, k);
+        runs.push((row.to_string(), Some(k), r.mean_response()));
     }
 }
 
@@ -76,19 +76,18 @@ fn family(
 /// run: most cells' 8 jobs reach shard 0 alone and run sequentially with
 /// the runner's reason, while `t4k_fattree` at K = 4 (five partitions a
 /// shard) runs 2. Anything else, a silent fallback included, fails.
-fn relay(runs: &mut Vec<Run>, row: String, cell: (ExperimentConfig, Vec<JobSpec>)) {
+fn relay(runs: &mut Vec<Run>, row: &str, cell: (ExperimentConfig, Vec<JobSpec>)) {
     let parts = cell.0.system_size / cell.0.partition_size;
     let jobs = cell.1.len();
     assert!(
         jobs <= parts,
         "{row}: relay jobs must fit one per partition"
     );
-    let what = row.clone();
     family(runs, row, cell, |r, k| {
         let used = ShardPlan::contiguous(parts, k).shard_of(jobs - 1) + 1;
         let sequential = "the batch's t = 0 placement reaches at most one shard";
         let reason = (k > 1 && used == 1).then_some(sequential);
-        assert_eq!((r.shards, r.fallback), (used, reason), "{what} at K = {k}");
+        assert_eq!((r.shards, r.fallback), (used, reason), "{row} at K = {k}");
     });
 }
 
@@ -148,12 +147,11 @@ fn runs() -> Vec<Run> {
         runs.push((format!("open_hc4_{label}"), None, mean));
     }
 
-    family(&mut runs, "shard_scale".into(), shard_scale(), |_, _| {});
+    family(&mut runs, "shard_scale", shard_scale(), |_, _| {});
     for cell in Cell1k::all() {
         let row = format!("t1k_{}", cell.label());
-        let what = row.clone();
-        family(&mut runs, row, torus1k(cell), |r, k| {
-            assert_eq!(r.fallback, None, "{what} at K = {k} fell back");
+        family(&mut runs, &row, torus1k(cell), |r, k| {
+            assert_eq!(r.fallback, None, "{row} at K = {k} fell back");
         });
     }
     let switchings = [
@@ -163,14 +161,14 @@ fn runs() -> Vec<Run> {
     for cell in Cell4k::all() {
         for (switching, sw) in switchings {
             let row = format!("t4k_{}_{sw}", cell.label());
-            relay(&mut runs, row, t4k(cell, switching));
+            relay(&mut runs, &row, t4k(cell, switching));
         }
     }
     for point in ScalePoint::all() {
         for cell in Cell4k::all() {
             for (switching, sw) in switchings {
                 let row = format!("{}_{}_{sw}", point.label(), cell.label());
-                relay(&mut runs, row, tscale(cell, point, switching));
+                relay(&mut runs, &row, tscale(cell, point, switching));
             }
         }
     }
