@@ -59,7 +59,7 @@ pub enum Cell1k {
 }
 
 impl Cell1k {
-    /// Scenario-name fragment (`t1k_<label>_<shards>`).
+    /// Row-name fragment (`t1k_<label>`).
     pub fn label(self) -> &'static str {
         match self {
             Cell1k::Static => "static",
@@ -68,7 +68,7 @@ impl Cell1k {
         }
     }
 
-    /// All cells, in report order.
+    /// All cells, in table order.
     pub fn all() -> [Cell1k; 3] {
         [Cell1k::Static, Cell1k::Hybrid, Cell1k::FaultedTs]
     }
@@ -170,7 +170,7 @@ pub enum Cell4k {
 }
 
 impl Cell4k {
-    /// Scenario-name fragment (`t4k_<label>_<switching>_<shards>`).
+    /// Row-name fragment (`t4k_<label>_<switching>`).
     pub fn label(self) -> &'static str {
         match self {
             Cell4k::Torus => "torus",
@@ -179,7 +179,7 @@ impl Cell4k {
         }
     }
 
-    /// All cells, in report order.
+    /// All cells, in table order.
     pub fn all() -> [Cell4k; 3] {
         [Cell4k::Torus, Cell4k::FatTree, Cell4k::Dragonfly]
     }
@@ -232,9 +232,8 @@ pub fn t4k_job(i: usize, width: usize) -> JobSpec {
 }
 
 /// One t4k cell under the given switching mode: the wormhole-vs-SAF
-/// headline experiment. Each cell pins a golden per (switching, shard
-/// count) and the shard counts within a (cell, switching) pair must agree
-/// bit for bit.
+/// headline experiment. Each (cell, switching) pair pins one golden, which
+/// its run at every shard count must equal bit for bit.
 pub fn t4k(cell: Cell4k, switching: Switching) -> (ExperimentConfig, Vec<JobSpec>) {
     let (kind, partition, parts, policy, mpl) = match cell {
         Cell4k::Torus => (
@@ -284,7 +283,7 @@ pub enum ScalePoint {
 }
 
 impl ScalePoint {
-    /// Scenario-name prefix (`t16k_...` / `t64k_...`).
+    /// Row-name prefix (`t16k_...` / `t64k_...`).
     pub fn label(self) -> &'static str {
         match self {
             ScalePoint::T16k => "t16k",
@@ -292,7 +291,7 @@ impl ScalePoint {
         }
     }
 
-    /// Both sizes, in report order.
+    /// Both sizes, in table order.
     pub fn all() -> [ScalePoint; 2] {
         [ScalePoint::T16k, ScalePoint::T64k]
     }

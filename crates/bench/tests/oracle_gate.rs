@@ -53,7 +53,8 @@ fn benchmarked_f3_cells_match_the_oracle() {
 
 #[test]
 fn benchmarked_mpl_cell_matches_the_oracle() {
-    // The goldens also pin an MPL-bounded time-sharing variant.
+    // The goldens pin the MPL-4 hybrid; this holds the MPL-capped
+    // time-sharing path to the oracle at MPL 2.
     let scenario = f3_scenario(PolicyClass::PureTs, Some(2));
     if let Err(div) = run_differential(&scenario) {
         panic!("benchmarked MPL cell diverged:\n{div}");
