@@ -188,12 +188,12 @@ fn run_capture<Eng: DiffEngine<Event>>(
     driver.start(&mut engine);
     let mut model = TraceModel::new(driver);
     let outcome = engine.run_model(&mut model);
-    let TraceModel { inner: driver, trace } = model;
+    let TraceModel {
+        inner: driver,
+        trace,
+    } = model;
     if outcome != RunOutcome::Drained || !driver.all_done() {
-        return Err(format!(
-            "run failed ({outcome:?}):\n{}",
-            driver.diagnose()
-        ));
+        return Err(format!("run failed ({outcome:?}):\n{}", driver.diagnose()));
     }
     Ok(RunCapture {
         trace,
@@ -202,7 +202,11 @@ fn run_capture<Eng: DiffEngine<Event>>(
         counters: driver.machine.counters.clone(),
         events: engine.events_processed(),
         stats: MachineStats::capture(&driver.machine, engine.now()),
-        express: driver.machine.wormhole().map(|wh| wh.stats).unwrap_or_default(),
+        express: driver
+            .machine
+            .wormhole()
+            .map(|wh| wh.stats)
+            .unwrap_or_default(),
         cpu_express: driver.machine.cpu_express_stats(),
     })
 }
@@ -340,11 +344,18 @@ fn compare_flit_reference(scenario: &Scenario, capture: &RunCapture) -> Result<(
     }
     let flit = run_flit_reference(scenario)
         .map_err(|e| diverge(scenario, "flit reference run failed", e))?;
-    compare_paths(scenario, capture, &flit, "express-path", "flit reference", false)
-        .map_err(|mut d| {
-            d.detail = format!("{}\n({})", d.detail, capture.express);
-            d
-        })
+    compare_paths(
+        scenario,
+        capture,
+        &flit,
+        "express-path",
+        "flit reference",
+        false,
+    )
+    .map_err(|mut d| {
+        d.detail = format!("{}\n({})", d.detail, capture.express);
+        d
+    })
 }
 
 /// Hold a scenario's CPU express run to the slice reference, events
@@ -352,11 +363,18 @@ fn compare_flit_reference(scenario: &Scenario, capture: &RunCapture) -> Result<(
 fn compare_slice_reference(scenario: &Scenario, capture: &RunCapture) -> Result<(), Divergence> {
     let slices = run_slice_reference(scenario)
         .map_err(|e| diverge(scenario, "slice reference run failed", e))?;
-    compare_paths(scenario, capture, &slices, "CPU express", "slice reference", true)
-        .map_err(|mut d| {
-            d.detail = format!("{}\n({})", d.detail, capture.cpu_express);
-            d
-        })
+    compare_paths(
+        scenario,
+        capture,
+        &slices,
+        "CPU express",
+        "slice reference",
+        true,
+    )
+    .map_err(|mut d| {
+        d.detail = format!("{}\n({})", d.detail, capture.cpu_express);
+        d
+    })
 }
 
 /// Hold a fast path's run to its reference path's: identical response
@@ -376,12 +394,22 @@ fn compare_paths(
         [
             format!("{:?}", c.response_times),
             format!("{:?}", c.makespan),
-            if events { format!("{}", c.events) } else { String::new() },
+            if events {
+                format!("{}", c.events)
+            } else {
+                String::new()
+            },
             format!("{:?}", c.counters),
             format!("{:?}", c.stats),
         ]
     };
-    let names = ["response-time", "makespan", "events-processed", "counter", "machine-stats"];
+    let names = [
+        "response-time",
+        "makespan",
+        "events-processed",
+        "counter",
+        "machine-stats",
+    ];
     let pairs = observables(fast).into_iter().zip(observables(reference));
     for (what, (got, want)) in names.iter().zip(pairs) {
         if got != want {
@@ -401,8 +429,8 @@ fn compare_paths(
 /// per-node utilization vector and the f64 means included, compared
 /// through their `Debug` text, which round-trips every f64).
 fn compare_eager_build(scenario: &Scenario, capture: &RunCapture) -> Result<(), Divergence> {
-    let eager = run_eager_build(scenario)
-        .map_err(|e| diverge(scenario, "eager-build run failed", e))?;
+    let eager =
+        run_eager_build(scenario).map_err(|e| diverge(scenario, "eager-build run failed", e))?;
     let observables = |c: &RunCapture| {
         [
             format!("{:?}", c.response_times),
@@ -412,7 +440,13 @@ fn compare_eager_build(scenario: &Scenario, capture: &RunCapture) -> Result<(), 
             format!("{:?}", c.stats),
         ]
     };
-    let names = ["response-time", "makespan", "events-processed", "counter", "machine-stats"];
+    let names = [
+        "response-time",
+        "makespan",
+        "events-processed",
+        "counter",
+        "machine-stats",
+    ];
     let pairs = observables(capture).into_iter().zip(observables(&eager));
     for (what, (lazy, reference)) in names.iter().zip(pairs) {
         if lazy != reference {
@@ -427,7 +461,11 @@ fn compare_eager_build(scenario: &Scenario, capture: &RunCapture) -> Result<(), 
         return Err(diverge(
             scenario,
             "on-demand build event-history divergence from the eager build",
-            format!("{} vs {} events traced", capture.trace.len(), eager.trace.len()),
+            format!(
+                "{} vs {} events traced",
+                capture.trace.len(),
+                eager.trace.len()
+            ),
         ));
     }
     Ok(())
@@ -474,7 +512,10 @@ fn compare_sharded(scenario: &Scenario, capture: &RunCapture) -> Result<(), Dive
         return Err(diverge(
             scenario,
             "sharded makespan divergence",
-            format!("sharded {} vs sequential {}", first.makespan, capture.makespan),
+            format!(
+                "sharded {} vs sequential {}",
+                first.makespan, capture.makespan
+            ),
         ));
     }
     if first.counters != capture.counters {
@@ -507,10 +548,8 @@ fn compare_sharded(scenario: &Scenario, capture: &RunCapture) -> Result<(), Dive
 /// runner (twice) and must reproduce the same observables. Returns the
 /// (shared) capture on success for further invariant checking.
 pub fn run_differential(scenario: &Scenario) -> Result<RunCapture, Divergence> {
-    let opt = run_optimized(scenario)
-        .map_err(|e| diverge(scenario, "optimized run failed", e))?;
-    let ora = run_oracle(scenario)
-        .map_err(|e| diverge(scenario, "oracle run failed", e))?;
+    let opt = run_optimized(scenario).map_err(|e| diverge(scenario, "optimized run failed", e))?;
+    let ora = run_oracle(scenario).map_err(|e| diverge(scenario, "oracle run failed", e))?;
 
     compare_traces(scenario, &opt.trace, &ora.trace)?;
     if opt.response_times != ora.response_times {

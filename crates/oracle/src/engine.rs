@@ -360,7 +360,10 @@ impl<E> EventScheduler<E> for OracleScheduler<'_, E> {
     }
 
     fn adjust_processed(&mut self, delta: i64) {
-        *self.processed = self.processed.checked_add_signed(delta).expect("count underflow");
+        *self.processed = self
+            .processed
+            .checked_add_signed(delta)
+            .expect("count underflow");
     }
 
     fn rekey_current(&mut self, key: Key) {
@@ -442,10 +445,7 @@ mod tests {
             match ev {
                 0 => {
                     for i in 0..6u64 {
-                        let h = sched.schedule_timer(
-                            SimDuration::from_nanos(100 + i),
-                            10 + i,
-                        );
+                        let h = sched.schedule_timer(SimDuration::from_nanos(100 + i), 10 + i);
                         self.handles.push(h);
                     }
                     sched.schedule(SimDuration::from_nanos(50), 1);

@@ -52,11 +52,9 @@ pub fn check_flit_conservation(counters: &Counters) {
         counters.flits_dropped
     );
     assert_eq!(
-        counters.credits_issued,
-        counters.credits_returned,
+        counters.credits_issued, counters.credits_returned,
         "credit conservation violated: {} issued != {} returned at quiesce",
-        counters.credits_issued,
-        counters.credits_returned
+        counters.credits_issued, counters.credits_returned
     );
 }
 
@@ -197,7 +195,9 @@ pub fn check_event_stream(events: &[TimedEvent]) {
                      while {prev:?} still runs"
                 );
             }
-            ObsEvent::QuantumEnd { node, job, rank, .. } => {
+            ObsEvent::QuantumEnd {
+                node, job, rank, ..
+            } => {
                 assert_eq!(
                     quantum.remove(&node),
                     Some((job, rank)),

@@ -134,8 +134,11 @@ impl Scenario {
         // robin by case index so any sweep of >= 48 cases covers them all.
         let cell = case % 48;
         let topo_idx = (cell % 4) as usize;
-        let class = [PolicyClass::Static, PolicyClass::PureTs, PolicyClass::Hybrid]
-            [(cell / 4 % 3) as usize];
+        let class = [
+            PolicyClass::Static,
+            PolicyClass::PureTs,
+            PolicyClass::Hybrid,
+        ][(cell / 4 % 3) as usize];
         let app = [App::MatMul, App::Sort][(cell / 12 % 2) as usize];
         let arch = [Arch::Fixed, Arch::Adaptive][(cell / 24) as usize];
 
@@ -211,8 +214,7 @@ impl Scenario {
             let period_ms = rng.uniform_u64(4, 17); // ignored unless kind 1
             let arng = DetRng::new(seed).substream_idx("oracle-arrivals", case);
             match kind {
-                0 => PoissonArrivals::new(SimDuration::from_millis(10), arng)
-                    .take_arrivals(jobs),
+                0 => PoissonArrivals::new(SimDuration::from_millis(10), arng).take_arrivals(jobs),
                 1 => DeterministicArrivals::new(SimDuration::from_millis(period_ms))
                     .take_arrivals(jobs),
                 _ => {

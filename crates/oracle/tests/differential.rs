@@ -94,7 +94,10 @@ fn differential_sweep_full() {
         && env_u64("ORACLE_ONLY_CASE").is_none()
         && env_u64("ORACLE_CASES").is_none_or(|n| n >= 240);
     if default_sweep {
-        assert!(express.materialized > 0, "no express worm was materialized: {express}");
+        assert!(
+            express.materialized > 0,
+            "no express worm was materialized: {express}"
+        );
         assert!(cpu.ties[1] > 0, "no event-first tie was resolved: {cpu}");
     }
 }
@@ -155,7 +158,12 @@ fn sharded_runs_are_bit_identical_across_shard_counts() {
                 let par = run_batch_sharded(&config, batch.clone(), k)
                     .unwrap_or_else(|e| panic!("{e}\n{}", scenario.describe()));
                 assert_eq!(par.shards, want, "K={k}\n{}", scenario.describe());
-                assert_eq!(par.fallback.is_none(), want > 1, "K={k}: {:?}", par.fallback);
+                assert_eq!(
+                    par.fallback.is_none(),
+                    want > 1,
+                    "K={k}: {:?}",
+                    par.fallback
+                );
                 assert_eq!(
                     par.response_times,
                     seq.response_times,
@@ -181,7 +189,10 @@ fn sharded_runs_are_bit_identical_across_shard_counts() {
         }
     }
     assert!(checked >= 3, "too few eligible scenarios: {checked}");
-    assert!(sharded_at_two >= 3, "too few cases shard at K = 2: {sharded_at_two}");
+    assert!(
+        sharded_at_two >= 3,
+        "too few cases shard at K = 2: {sharded_at_two}"
+    );
 }
 
 /// Targeted coverage for the widened shard-eligibility gate: every
@@ -224,10 +235,25 @@ fn coordinated_classes_shard_bit_identically() {
     };
     let classes: [(&str, PolicyClass, Option<usize>, FaultPlan); 5] = [
         ("static", PolicyClass::Static, None, FaultPlan::default()),
-        ("hybrid (MPL-2 time-sharing)", PolicyClass::Hybrid, Some(2), FaultPlan::default()),
-        ("MPL-capped static", PolicyClass::Static, Some(2), FaultPlan::default()),
+        (
+            "hybrid (MPL-2 time-sharing)",
+            PolicyClass::Hybrid,
+            Some(2),
+            FaultPlan::default(),
+        ),
+        (
+            "MPL-capped static",
+            PolicyClass::Static,
+            Some(2),
+            FaultPlan::default(),
+        ),
         ("crash fault plan", PolicyClass::Hybrid, None, crash_plan),
-        ("flaky-link fault plan", PolicyClass::Hybrid, None, flaky_plan),
+        (
+            "flaky-link fault plan",
+            PolicyClass::Hybrid,
+            None,
+            flaky_plan,
+        ),
     ];
     for (what, class, mpl, faults) in classes {
         for (shards, used) in [(2usize, 2usize), (4, 3), (8, 6)] {
@@ -268,12 +294,9 @@ fn coordinated_classes_shard_bit_identically() {
             }
             // run_differential proves bit-identity even through a runtime
             // fallback; additionally demand these classes really shard.
-            let par = parsched_core::run_batch_sharded(
-                &scenario.config(),
-                scenario.batch(),
-                shards,
-            )
-            .unwrap_or_else(|e| panic!("{what} at K={shards}: {e}"));
+            let par =
+                parsched_core::run_batch_sharded(&scenario.config(), scenario.batch(), shards)
+                    .unwrap_or_else(|e| panic!("{what} at K={shards}: {e}"));
             assert_eq!(par.fallback, None, "{what} at K={shards} fell back");
             assert_eq!(par.shards, used, "{what} at K={shards}");
         }

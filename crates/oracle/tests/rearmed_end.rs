@@ -28,8 +28,12 @@ impl Model for Harness {
 
     fn handle(&mut self, now: SimTime, event: Event, sched: &mut impl EventScheduler<Event>) {
         match event {
-            Event::PolicyTick { token: 0 } => self.m.set_job_active(self.jobs[2], false, now, sched),
-            Event::PolicyTick { token: 1 } => sched.schedule(self.delay, Event::PolicyTick { token: 0 }),
+            Event::PolicyTick { token: 0 } => {
+                self.m.set_job_active(self.jobs[2], false, now, sched)
+            }
+            Event::PolicyTick { token: 1 } => {
+                sched.schedule(self.delay, Event::PolicyTick { token: 0 })
+            }
             Event::PolicyTick { .. } => self.m.set_job_active(self.jobs[2], true, now, sched),
             _ => {
                 self.m.handle(now, event, sched);
@@ -86,11 +90,16 @@ fn a_park_at_a_rearmed_natural_end_matches_the_slice_reference() {
     h.m.recorder = Some(Box::new(CollectRecorder::new()));
     engine.run(&mut h);
     let mut rec = h.m.recorder.take().expect("installed");
-    let rec = rec.as_any_mut().downcast_mut::<CollectRecorder>().expect("collector");
+    let rec = rec
+        .as_any_mut()
+        .downcast_mut::<CollectRecorder>()
+        .expect("collector");
     let ends = |why: QuantumEndReason| -> Vec<SimTime> {
         rec.events()
             .iter()
-            .filter(|e| matches!(e.1, ObsEvent::QuantumEnd { node: 0, reason, .. } if reason == why))
+            .filter(
+                |e| matches!(e.1, ObsEvent::QuantumEnd { node: 0, reason, .. } if reason == why),
+            )
             .map(|e| e.0)
             .collect()
     };
@@ -114,5 +123,9 @@ fn a_park_at_a_rearmed_natural_end_matches_the_slice_reference() {
     let finished = |h: &Harness| h.m.jobs().iter().map(|j| j.finished_at).collect::<Vec<_>>();
     assert_eq!(finished(&x), finished(&r));
     assert_eq!(x.m.counters, r.m.counters);
-    assert_eq!(oracle.events_processed(), reference.events_processed(), "{stats}");
+    assert_eq!(
+        oracle.events_processed(),
+        reference.events_processed(),
+        "{stats}"
+    );
 }

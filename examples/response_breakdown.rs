@@ -46,7 +46,12 @@ fn main() {
     );
     let mut engine: Engine<parsched::machine::Event> = Engine::new(QueueKind::BinaryHeap);
     driver.start(&mut engine);
-    assert_eq!(engine.run(&mut driver), RunOutcome::Drained, "{}", driver.diagnose());
+    assert_eq!(
+        engine.run(&mut driver),
+        RunOutcome::Drained,
+        "{}",
+        driver.diagnose()
+    );
 
     println!(
         "{} on one 16-node ring (matmul adaptive batch):\n",

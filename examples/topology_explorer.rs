@@ -38,7 +38,12 @@ fn main() {
             .chain(router.path(NodeId(0), NodeId(11)).iter().map(|n| n.0))
             .map(|n| n.to_string())
             .collect();
-        println!("  {:<12} {} ({} hops)", name, path.join(" -> "), path.len() - 1);
+        println!(
+            "  {:<12} {} ({} hops)",
+            name,
+            path.join(" -> "),
+            path.len() - 1
+        );
         assert_eq!(
             router.hops(NodeId(0), NodeId(11)) as u32,
             distance(topo, NodeId(0), NodeId(11)),

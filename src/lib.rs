@@ -57,8 +57,8 @@ pub mod prelude {
     pub use parsched_machine::prelude::*;
     pub use parsched_obs::prelude::*;
     pub use parsched_topology::{
-        build, config_label, metrics, paper_configs, NodeId, PartitionPlan, Router,
-        Topology, TopologyKind,
+        build, config_label, metrics, paper_configs, NodeId, PartitionPlan, Router, Topology,
+        TopologyKind,
     };
     pub use parsched_workload::prelude::*;
 }

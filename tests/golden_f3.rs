@@ -52,7 +52,9 @@ fn fig3_grid_is_bit_identical_to_golden() {
             println!(
                 "    (\"{}\", 0x{:016x}, 0x{:016x}),",
                 r.label,
-                r.static_mean.expect("fig3 rows carry both policies").to_bits(),
+                r.static_mean
+                    .expect("fig3 rows carry both policies")
+                    .to_bits(),
                 r.ts_mean.expect("fig3 rows carry both policies").to_bits(),
             );
         }
@@ -62,7 +64,11 @@ fn fig3_grid_is_bit_identical_to_golden() {
         table.rows.len(),
         GOLDEN.len(),
         "fig3 grid shape changed: {:?}",
-        table.rows.iter().map(|r| r.label.as_str()).collect::<Vec<_>>()
+        table
+            .rows
+            .iter()
+            .map(|r| r.label.as_str())
+            .collect::<Vec<_>>()
     );
     for (r, (label, static_bits, ts_bits)) in table.rows.iter().zip(GOLDEN) {
         assert_eq!(r.label, *label, "row order changed");

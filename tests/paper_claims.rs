@@ -88,8 +88,20 @@ fn time_sharing_penalty_grows_with_partition_size() {
 #[test]
 fn hybrid_beats_pure_time_sharing() {
     for arch in [Arch::Fixed, Arch::Adaptive] {
-        let hybrid = experiment(App::MatMul, arch, 4, TopologyKind::Ring, PolicyKind::TimeSharing);
-        let pure = experiment(App::MatMul, arch, 16, TopologyKind::Ring, PolicyKind::TimeSharing);
+        let hybrid = experiment(
+            App::MatMul,
+            arch,
+            4,
+            TopologyKind::Ring,
+            PolicyKind::TimeSharing,
+        );
+        let pure = experiment(
+            App::MatMul,
+            arch,
+            16,
+            TopologyKind::Ring,
+            PolicyKind::TimeSharing,
+        );
         assert!(
             hybrid.mean_response * 1.5 < pure.mean_response,
             "{arch:?}: hybrid 4R {} not much better than pure TS 16R {}",
@@ -198,11 +210,16 @@ fn wormhole_reduces_time_sharing_penalty() {
         let batch = paper_batch(App::MatMul, Arch::Fixed, 16, &sizes, &cost);
         let mut cfg = ExperimentConfig::paper(16, TopologyKind::Linear, PolicyKind::TimeSharing);
         cfg.machine.switching = switching;
-        run_experiment(&cfg, &batch).expect("run completed").mean_response
+        run_experiment(&cfg, &batch)
+            .expect("run completed")
+            .mean_response
     };
     let saf = run(Switching::PacketizedSaf);
     let worm = run(Switching::Wormhole);
-    assert!(worm < saf, "wormhole {worm} !< packetized store-and-forward {saf}");
+    assert!(
+        worm < saf,
+        "wormhole {worm} !< packetized store-and-forward {saf}"
+    );
 }
 
 /// §5.2 / refs [2,3]: with higher service-demand variance, time-sharing
@@ -243,8 +260,16 @@ fn variance_crossover_exists() {
 fn rr_job_is_fairer_than_rr_process() {
     let cost = CostModel::default();
     let demand = SimDuration::from_secs(2);
-    let narrow = SyntheticParams { width: 4, msg_bytes: 1024, ..SyntheticParams::default() };
-    let wide = SyntheticParams { width: 16, msg_bytes: 1024, ..SyntheticParams::default() };
+    let narrow = SyntheticParams {
+        width: 4,
+        msg_bytes: 1024,
+        ..SyntheticParams::default()
+    };
+    let wide = SyntheticParams {
+        width: 16,
+        msg_bytes: 1024,
+        ..SyntheticParams::default()
+    };
     let batch: Vec<_> = (0..16)
         .map(|i| {
             let p = if i % 2 == 0 { &narrow } else { &wide };
@@ -257,12 +282,21 @@ fn rr_job_is_fairer_than_rr_process() {
         let r = run_experiment(&cfg, &batch).expect("run completed");
         let rts = &r.primary.response_times;
         let narrow_mean: f64 = rts.iter().step_by(2).map(|d| d.as_secs_f64()).sum::<f64>() / 8.0;
-        let wide_mean: f64 =
-            rts.iter().skip(1).step_by(2).map(|d| d.as_secs_f64()).sum::<f64>() / 8.0;
+        let wide_mean: f64 = rts
+            .iter()
+            .skip(1)
+            .step_by(2)
+            .map(|d| d.as_secs_f64())
+            .sum::<f64>()
+            / 8.0;
         narrow_mean / wide_mean
     };
-    let rr_job = unfairness(QuantumRule::RrJob { base: SimDuration::from_millis(2) });
-    let rr_proc = unfairness(QuantumRule::RrProcess { quantum: SimDuration::from_millis(2) });
+    let rr_job = unfairness(QuantumRule::RrJob {
+        base: SimDuration::from_millis(2),
+    });
+    let rr_proc = unfairness(QuantumRule::RrProcess {
+        quantum: SimDuration::from_millis(2),
+    });
     assert!(
         (rr_job - 1.0).abs() < 0.25,
         "RR-job should treat widths near-equally, got {rr_job:.3}"
@@ -305,7 +339,10 @@ fn optimal_partition_shrinks_with_load() {
         large_batch <= small_batch,
         "optimal partition must shrink with load: {small_batch} -> {large_batch}"
     );
-    assert!(small_batch > 1, "small batches must prefer real parallelism");
+    assert!(
+        small_batch > 1,
+        "small batches must prefer real parallelism"
+    );
 }
 
 /// §2.3: the hybrid's set size is a tuning parameter — every MPL must at

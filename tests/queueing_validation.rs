@@ -44,18 +44,13 @@ fn mm_style_md1_queue_matches_pollaczek_khinchine() {
     let service = 0.010; // 10 ms
     for rho in [0.3f64, 0.6, 0.8] {
         let mut rng = DetRng::new(99).substream(&format!("md1-{rho}"));
-        let arrivals = poisson_arrivals(
-            n,
-            SimDuration::from_secs_f64(service / rho),
-            &mut rng,
-        );
+        let arrivals = poisson_arrivals(n, SimDuration::from_secs_f64(service / rho), &mut rng);
         let batch = queueing_jobs(&vec![service; n]);
         let cfg = clean_config(PolicyKind::Static);
         let r = run_batch_with_arrivals(&cfg, batch, arrivals).expect("md1 run");
         // Drop a warmup prefix; average the rest.
         let tail = &r.response_times[n / 10..];
-        let mean: f64 =
-            tail.iter().map(|d| d.as_secs_f64()).sum::<f64>() / tail.len() as f64;
+        let mean: f64 = tail.iter().map(|d| d.as_secs_f64()).sum::<f64>() / tail.len() as f64;
         let expect = service + rho * service / (2.0 * (1.0 - rho));
         let rel = (mean - expect).abs() / expect;
         assert!(
@@ -75,18 +70,13 @@ fn mm1_queue_matches_closed_form() {
         let root = DetRng::new(7).substream(&format!("mm1-{rho}"));
         let mut arr_rng = root.substream("arrivals");
         let mut svc_rng = root.substream("service");
-        let arrivals = poisson_arrivals(
-            n,
-            SimDuration::from_secs_f64(service / rho),
-            &mut arr_rng,
-        );
+        let arrivals = poisson_arrivals(n, SimDuration::from_secs_f64(service / rho), &mut arr_rng);
         let demands: Vec<f64> = (0..n).map(|_| svc_rng.exponential(service)).collect();
         let batch = queueing_jobs(&demands);
         let cfg = clean_config(PolicyKind::Static);
         let r = run_batch_with_arrivals(&cfg, batch, arrivals).expect("mm1 run");
         let tail = &r.response_times[n / 10..];
-        let mean: f64 =
-            tail.iter().map(|d| d.as_secs_f64()).sum::<f64>() / tail.len() as f64;
+        let mean: f64 = tail.iter().map(|d| d.as_secs_f64()).sum::<f64>() / tail.len() as f64;
         let expect = service / (1.0 - rho);
         let rel = (mean - expect).abs() / expect;
         assert!(
@@ -107,11 +97,7 @@ fn mm1_processor_sharing_matches_fcfs_mean() {
     let root = DetRng::new(21).substream("ps");
     let mut arr_rng = root.substream("arrivals");
     let mut svc_rng = root.substream("service");
-    let arrivals = poisson_arrivals(
-        n,
-        SimDuration::from_secs_f64(service / rho),
-        &mut arr_rng,
-    );
+    let arrivals = poisson_arrivals(n, SimDuration::from_secs_f64(service / rho), &mut arr_rng);
     let demands: Vec<f64> = (0..n).map(|_| svc_rng.exponential(service)).collect();
     let batch = queueing_jobs(&demands);
     let mut cfg = clean_config(PolicyKind::TimeSharing);

@@ -49,12 +49,14 @@ fn conservation_across_the_paper_grid() {
                     });
                     let s = &r.stats;
                     assert_eq!(
-                        s.messages_sent, expected_msgs,
+                        s.messages_sent,
+                        expected_msgs,
                         "{app:?}/{arch:?}/{p}{}: sent",
                         kind.label()
                     );
                     assert_eq!(
-                        s.messages_consumed, s.messages_sent,
+                        s.messages_consumed,
+                        s.messages_sent,
                         "{app:?}/{arch:?}/{p}{}: consumed != sent",
                         kind.label()
                     );
@@ -159,9 +161,8 @@ fn design_alternatives_complete() {
                 cfg.machine.flow = flow;
                 cfg.machine.alloc_policy = policy;
                 cfg.machine.send_mode = send;
-                let r = run_batch(&cfg, batch.clone()).unwrap_or_else(|e| {
-                    panic!("{flow:?}/{policy:?}/{send:?}: {e}")
-                });
+                let r = run_batch(&cfg, batch.clone())
+                    .unwrap_or_else(|e| panic!("{flow:?}/{policy:?}/{send:?}: {e}"));
                 assert_eq!(r.response_times.len(), batch.len());
             }
         }
@@ -175,7 +176,11 @@ fn placements_all_complete() {
     let sizes = BatchSizes::default();
     let cost = CostModel::default();
     let batch = paper_batch(App::Sort, Arch::Fixed, 8, &sizes, &cost);
-    for placement in [Placement::RoundRobin, Placement::Staggered, Placement::Blocked] {
+    for placement in [
+        Placement::RoundRobin,
+        Placement::Staggered,
+        Placement::Blocked,
+    ] {
         let mut cfg = ExperimentConfig::paper(8, MESH, PolicyKind::TimeSharing);
         cfg.placement = placement;
         let r = run_batch(&cfg, batch.clone()).unwrap();
@@ -300,7 +305,11 @@ fn impossible_runs_error_cleanly() {
     let _ = cost;
     let cfg = ExperimentConfig::paper(1, TopologyKind::Linear, PolicyKind::Static);
     let err = run_batch(&cfg, batch).expect_err("must stall");
-    assert!(err.diagnosis.contains("blocked-recv=1"), "{}", err.diagnosis);
+    assert!(
+        err.diagnosis.contains("blocked-recv=1"),
+        "{}",
+        err.diagnosis
+    );
     assert!(err.diagnosis.contains("1 unfinished"), "{}", err.diagnosis);
 }
 
@@ -319,8 +328,7 @@ fn gang_completes_for_all_slot_lengths() {
         cfg.discipline = Discipline::Gang {
             slot: SimDuration::from_millis(slot_ms),
         };
-        let r = run_batch(&cfg, batch.clone())
-            .unwrap_or_else(|e| panic!("slot {slot_ms}ms: {e}"));
+        let r = run_batch(&cfg, batch.clone()).unwrap_or_else(|e| panic!("slot {slot_ms}ms: {e}"));
         assert_eq!(r.response_times.len(), batch.len());
         assert_eq!(r.stats.messages_sent, r.stats.messages_consumed);
     }
@@ -342,7 +350,11 @@ fn invariants_hold_with_recording_off_and_on() {
     for (p, kind, policy) in [
         (4, TopologyKind::Ring, PolicyKind::Static),
         (8, MESH, PolicyKind::TimeSharing),
-        (16, TopologyKind::Hypercube { dim: 0 }, PolicyKind::TimeSharing),
+        (
+            16,
+            TopologyKind::Hypercube { dim: 0 },
+            PolicyKind::TimeSharing,
+        ),
     ] {
         let batch = paper_batch(App::MatMul, Arch::Adaptive, p, &sizes, &cost);
 
