@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, the machine, core and bench crates' format
-# checks, rustdoc with warnings denied, lint wall, and the full workspace
-# test suite. The suite includes the root `tests/perf_goldens.rs`, which
-# pins the simulated mean of every multi-partition cell bit-exactly — the
-# 64-node shard_scale machine, the 1024-node t1k cells and the t4k, t16k
+# Tier-1 gate: release build, the machine, core, bench and oracle crates'
+# and the root package's format checks, rustdoc with warnings denied, lint
+# wall, and the full workspace test suite. The suite includes the root
+# `tests/perf_goldens.rs`, which pins the simulated mean of every
+# multi-partition cell bit-exactly — the 64-node shard_scale machine, the 1024-node t1k cells and the t4k, t16k
 # and t64k wormhole-vs-store-and-forward relay cells, each run at 1, 2 and
 # 4 shards against one golden per family (fault plans default to empty,
 # so this also pins that the fault layer costs nothing when unused) — and
@@ -60,6 +60,8 @@ cargo build --release --workspace
 cargo fmt -p parsched-machine -- --check
 cargo fmt -p parsched-core -- --check
 cargo fmt -p parsched-bench -- --check
+cargo fmt -p parsched-oracle -- --check
+cargo fmt -p parsched -- --check
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace
