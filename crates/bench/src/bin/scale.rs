@@ -21,9 +21,12 @@
 //! across a 70 225-node single-partition torus with blocked placement, so
 //! real messages route between nodes whose indices do not fit the
 //! pre-widening `u16`, and the observed event stream is asserted to
-//! contain them. Both runs also check the machine's work counter: it
+//! contain them. Both runs go through the public run lifecycle (`Run`),
+//! so each keeps its finished machine and can check its work counter: it
 //! built exactly the partitions up to the highest one a job landed on
-//! (`Machine::built_partitions`), not the whole machine.
+//! (`Machine::built_partitions`), not the whole machine. The crossing
+//! run's set-up step installs the event recorder and metrics registry,
+//! and `Run::take_artifacts` hands back the event stream.
 //!
 //! The ranking sweep holds the fabric fixed (64-node 8×8-torus
 //! partitions, wormhole switching) and scales only the machine: 256
@@ -35,7 +38,7 @@
 use parsched_bench::scale::{tscale, Cell4k, ScalePoint};
 use parsched_core::prelude::*;
 use parsched_des::prelude::*;
-use parsched_machine::{Event, JobSpec, Machine, MachineMetrics, Switching, SystemNet};
+use parsched_machine::{JobSpec, Machine, MachineMetrics, Switching};
 use parsched_obs::{CollectRecorder, ObsEvent};
 use parsched_topology::{build, NodeId, Router, Topology, TopologyKind};
 use parsched_workload::prelude::*;
@@ -140,38 +143,6 @@ fn assert_route(topo: &Topology, router: &Router, src: usize, dst: usize) {
     }
 }
 
-/// Run `batch` under `cfg` as `run_batch` does (as `run_batch_observed`
-/// does when `observe` is set) and hand back the finished driver, whose
-/// machine still holds what the run built.
-fn drive(cfg: &ExperimentConfig, batch: Vec<JobSpec>, observe: bool) -> Driver {
-    let plan = cfg.try_plan().expect("realizable configuration");
-    let mut machine = Machine::new(cfg.machine.clone(), SystemNet::from_plan(&plan));
-    if observe {
-        machine.recorder = Some(Box::new(CollectRecorder::new()));
-        machine.metrics = Some(Box::new(MachineMetrics::new(machine.net(), machine.t0())));
-    }
-    let mut driver = Driver::new(machine, plan, cfg.policy, cfg.rule, cfg.placement, batch)
-        .with_discipline(cfg.discipline);
-    if let Some(mpl) = cfg.mpl {
-        driver = driver.with_mpl(mpl);
-    }
-    let mut engine: Engine<Event> = Engine::new(cfg.queue);
-    engine.max_events = cfg.machine.max_events;
-    driver.start(&mut engine);
-    assert_eq!(
-        engine.run(&mut driver),
-        RunOutcome::Drained,
-        "run did not drain"
-    );
-    assert!(driver.all_done(), "run left jobs unfinished");
-    driver
-}
-
-/// Mean response time of a finished run, in seconds.
-fn mean_response(driver: &Driver) -> f64 {
-    Summary::of_durations(&driver.response_times()).mean
-}
-
 /// The machine built exactly the partitions up to the highest one a job
 /// landed on — not the whole machine. Returns `(built, partitions)`.
 fn assert_built_only_where_jobs_landed(driver: &Driver, what: &str) -> (usize, usize) {
@@ -210,10 +181,13 @@ fn smoke() {
     //    sequential, no golden — `tests/perf_goldens.rs` pins it).
     let (cfg, batch) = tscale(Cell4k::Torus, ScalePoint::T16k, Switching::Wormhole);
     let jobs = batch.len();
-    let d = drive(&cfg, batch, false);
-    let mean = mean_response(&d);
+    let plan = Run::prepare(&cfg, &batch, None).expect("realizable configuration");
+    let d = Run::build(&cfg, plan, batch, None, |_| {})
+        .complete(None)
+        .expect("16k run");
+    let mean = Summary::of_durations(&d.driver.response_times()).mean;
     assert!(mean.is_finite() && mean > 0.0, "16k mean response {mean}");
-    let (built, parts) = assert_built_only_where_jobs_landed(&d, "16k wormhole run");
+    let (built, parts) = assert_built_only_where_jobs_landed(&d.driver, "16k wormhole run");
     assert!(
         built <= jobs && built < parts,
         "{jobs} jobs built {built} of {parts} partitions"
@@ -262,19 +236,21 @@ fn smoke() {
             j
         })
         .collect();
-    let mut d = drive(&cfg, batch, true);
-    let mean = mean_response(&d);
+    let plan = Run::prepare(&cfg, &batch, None).expect("realizable configuration");
+    let observe = |m: &mut Machine| {
+        m.recorder = Some(Box::new(CollectRecorder::new()));
+        m.metrics = Some(Box::new(MachineMetrics::new(m.net(), m.t0())));
+    };
+    let mut d = Run::build(&cfg, plan, batch, None, observe)
+        .complete(None)
+        .expect("crossing run");
+    let mean = Summary::of_durations(&d.driver.response_times()).mean;
     assert!(
         mean.is_finite() && mean > 0.0,
         "crossing mean response {mean}"
     );
-    assert_built_only_where_jobs_landed(&d, "crossing run");
-    let mut recorder = d.machine.recorder.take().expect("recorder installed");
-    let events = recorder
-        .as_any_mut()
-        .downcast_mut::<CollectRecorder>()
-        .expect("a collector")
-        .take_events();
+    assert_built_only_where_jobs_landed(&d.driver, "crossing run");
+    let events = d.take_artifacts().expect("an observed run").events;
     let high_traffic = events
         .iter()
         .filter(|(_, e)| {

@@ -317,9 +317,10 @@ impl Driver {
     }
 
     /// A driver for `batch` under `config`'s policy, quantum rule,
-    /// placement, multiprogramming limit and discipline: the one place the
-    /// run entry points build theirs.
-    pub(crate) fn for_config(
+    /// placement, multiprogramming limit and discipline: the one place a
+    /// driver is built from a config, by [`Run::build`](crate::Run::build),
+    /// the shards and the differential oracle.
+    pub fn for_config(
         config: &ExperimentConfig,
         machine: Machine,
         plan: PartitionPlan,

@@ -65,22 +65,11 @@ impl ExperimentConfig {
         config_label(self.partition_size, self.topology)
     }
 
-    /// Build the partition plan, reporting an unrealizable combination as
-    /// a typed [`PlanError`] (the run entry points surface it as a
-    /// [`RunError`] instead of panicking).
+    /// Build the partition plan, or say in a typed [`PlanError`] why the
+    /// combination is unrealizable ([`Run::prepare`] surfaces it as a
+    /// [`RunError`]).
     pub fn try_plan(&self) -> Result<PartitionPlan, PlanError> {
         PartitionPlan::try_equal(self.system_size, self.partition_size, self.topology)
-    }
-
-    /// Build the partition plan (panics on unrealizable combinations; use
-    /// [`ExperimentConfig::try_plan`] to probe first).
-    pub fn plan(&self) -> PartitionPlan {
-        self.try_plan().unwrap_or_else(|e| {
-            panic!(
-                "unrealizable partitioning: {} processors into {}-{}: {e}",
-                self.system_size, self.partition_size, self.topology
-            )
-        })
     }
 }
 
@@ -184,7 +173,7 @@ pub fn order_batch(mut batch: Vec<JobSpec>, order: BatchOrder) -> Vec<JobSpec> {
 /// Execute one run of `batch` (already ordered) under `config`, with the
 /// whole batch arriving at t = 0 (the paper's closed setting).
 pub fn run_batch(config: &ExperimentConfig, batch: Vec<JobSpec>) -> Result<RunResult, RunError> {
-    execute(config, batch, None, false).map(|(r, _)| r)
+    execute(config, batch, None, |_| {}).map(|(r, _)| r)
 }
 
 /// Execute one run of an *open* workload: job `i` arrives at `arrivals[i]`
@@ -197,7 +186,7 @@ pub fn run_batch_with_arrivals(
     arrivals: Vec<SimTime>,
 ) -> Result<RunResult, RunError> {
     let arrivals = (!arrivals.is_empty()).then_some(arrivals);
-    execute(config, batch, arrivals, false).map(|(r, _)| r)
+    execute(config, batch, arrivals, |_| {}).map(|(r, _)| r)
 }
 
 /// Everything the observability layer captured during one run.
@@ -228,16 +217,20 @@ pub fn run_batch_observed(
     config: &ExperimentConfig,
     batch: Vec<JobSpec>,
 ) -> Result<(RunResult, ObsArtifacts), RunError> {
-    execute(config, batch, None, true)
-        .map(|(r, obs)| (r, obs.expect("instrumented run returns artifacts")))
+    execute(config, batch, None, instrument)
+        .map(|(r, obs)| (r, obs.expect("an instrumented run captures artifacts")))
 }
 
 /// A driver started into its engine: the one run lifecycle. Every entry
-/// point goes [`Run::prepare`], [`Run::build`] (a shard builds its own
-/// driver for [`Run::start`]) and [`Run::complete`], then reduces the run.
-pub(crate) struct Run {
-    pub(crate) driver: Driver,
-    pub(crate) engine: Engine<Event>,
+/// point goes [`Run::prepare`], [`Run::build`] and [`Run::complete`], then
+/// reduces the run; a shard builds its own driver over part of the
+/// machine. A caller that needs more than a [`RunResult`] drives the same
+/// lifecycle and reads the finished machine from `driver`.
+pub struct Run {
+    /// The driver, and through it the machine.
+    pub driver: Driver,
+    /// The engine, stopped where the run ended.
+    pub engine: Engine<Event>,
 }
 
 impl Run {
@@ -245,7 +238,11 @@ impl Run {
     /// job has a process and sends only to its own ranks, and `arrivals`,
     /// when given, has one instant per job — then plan its partitions.
     /// Nothing is built before this passes.
-    pub(crate) fn prepare(
+    ///
+    /// # Errors
+    /// [`RunError`] naming the first input that fails, or the
+    /// unrealizable partitioning.
+    pub fn prepare(
         config: &ExperimentConfig,
         batch: &[JobSpec],
         arrivals: Option<&[SimTime]>,
@@ -293,21 +290,18 @@ impl Run {
         })
     }
 
-    /// Build the machine of `plan`, with the event recorder and metrics
-    /// registry when `instrument` is set, and a driver for `batch` (job `i`
+    /// Build the machine of `plan`, let `setup` adjust it (install a
+    /// recorder, switch a reference path) and a driver for `batch` (job `i`
     /// arriving at `arrivals[i]`, or all at t = 0), then start it.
-    pub(crate) fn build(
+    pub fn build(
         config: &ExperimentConfig,
         plan: PartitionPlan,
         batch: Vec<JobSpec>,
         arrivals: Option<Vec<SimTime>>,
-        instrument: bool,
+        setup: impl FnOnce(&mut Machine),
     ) -> Run {
         let mut machine = Machine::new(config.machine.clone(), SystemNet::from_plan(&plan));
-        if instrument {
-            machine.recorder = Some(Box::new(CollectRecorder::new()));
-            machine.metrics = Some(Box::new(MachineMetrics::new(machine.net(), machine.t0())));
-        }
+        setup(&mut machine);
         let mut driver = Driver::for_config(config, machine, plan, batch);
         if let Some(arrivals) = arrivals {
             driver = driver.with_arrivals(arrivals);
@@ -325,14 +319,16 @@ impl Run {
     }
 
     /// Run the engine until it would pass `horizon` (a shard's round).
-    pub(crate) fn until(&mut self, horizon: SimTime) -> RunOutcome {
+    pub fn until(&mut self, horizon: SimTime) -> RunOutcome {
         self.engine.run_until(&mut self.driver, horizon)
     }
 
     /// Run to the end, or to an open stream's `horizon`. A run to the end
-    /// must drain with every job done, one to a horizon drain or reach it;
-    /// anything else is an error with the outcome and the diagnosis.
-    pub(crate) fn complete(mut self, horizon: Option<SimTime>) -> Result<Run, RunError> {
+    /// must drain with every job done, one to a horizon drain or reach it.
+    ///
+    /// # Errors
+    /// [`RunError`] with the outcome and the driver's diagnosis otherwise.
+    pub fn complete(mut self, horizon: Option<SimTime>) -> Result<Run, RunError> {
         let outcome = self.until(horizon.unwrap_or(SimTime::MAX));
         let complete = match horizon {
             None => outcome == RunOutcome::Drained && self.driver.all_done(),
@@ -346,37 +342,19 @@ impl Run {
             diagnosis: self.driver.diagnose(),
         })
     }
-}
 
-/// Shared run executor: the run lifecycle ([`Run`]) reduced to a
-/// [`RunResult`]; `instrument` installs the event recorder + metrics
-/// registry and returns them as [`ObsArtifacts`].
-fn execute(
-    config: &ExperimentConfig,
-    batch: Vec<JobSpec>,
-    arrivals: Option<Vec<SimTime>>,
-    instrument: bool,
-) -> Result<(RunResult, Option<ObsArtifacts>), RunError> {
-    let plan = Run::prepare(config, &batch, arrivals.as_deref())?;
-    let Run { mut driver, engine } =
-        Run::build(config, plan, batch, arrivals, instrument).complete(None)?;
-    let response_times = driver.response_times();
-    let result = RunResult {
-        summary: Summary::of_durations(&response_times),
-        response_times,
-        makespan: engine.now().since(SimTime::ZERO),
-        stats: MachineStats::capture(&driver.machine, engine.now()),
-        events: engine.events_processed(),
-    };
-    let obs = instrument.then(|| {
-        let machine = &mut driver.machine;
-        let mut metrics = machine.metrics.take().expect("instrumented build");
-        metrics.registry.finish(engine.now());
-        let mut recorder = machine.recorder.take().expect("instrumented build");
-        let collector = recorder
-            .as_any_mut()
-            .downcast_mut::<CollectRecorder>()
-            .expect("an instrumented build installs a CollectRecorder");
+    /// Take what the run's event collector and metrics registry captured,
+    /// closing the gauges at the run's end time: `None` unless the set-up
+    /// step installed a [`CollectRecorder`] and the [`MachineMetrics`].
+    pub fn take_artifacts(&mut self) -> Option<ObsArtifacts> {
+        let machine = &mut self.driver.machine;
+        let (Some(mut metrics), Some(mut recorder)) =
+            (machine.metrics.take(), machine.recorder.take())
+        else {
+            return None;
+        };
+        let collector = recorder.as_any_mut().downcast_mut::<CollectRecorder>()?;
+        metrics.registry.finish(self.engine.now());
         let layout = TraceLayout {
             node_count: u32::try_from(machine.net().nodes()).expect("node count exceeds u32"),
             links: (0..machine.net().channel_count())
@@ -385,14 +363,42 @@ fn execute(
                 .collect(),
             job_names: machine.jobs().iter().map(|j| j.name.clone()).collect(),
         };
-        ObsArtifacts {
+        Some(ObsArtifacts {
             events: collector.take_events(),
             dropped: collector.dropped(),
             metrics: *metrics,
             layout,
-        }
-    });
-    Ok((result, obs))
+        })
+    }
+}
+
+/// Install the event recorder and the metrics registry: the set-up step of
+/// an observed run.
+fn instrument(machine: &mut Machine) {
+    machine.recorder = Some(Box::new(CollectRecorder::new()));
+    machine.metrics = Some(Box::new(MachineMetrics::new(machine.net(), machine.t0())));
+}
+
+/// Shared run executor: the run lifecycle ([`Run`]) with `setup`, reduced
+/// to a [`RunResult`] and whatever artifacts `setup` made the run capture.
+fn execute(
+    config: &ExperimentConfig,
+    batch: Vec<JobSpec>,
+    arrivals: Option<Vec<SimTime>>,
+    setup: impl FnOnce(&mut Machine),
+) -> Result<(RunResult, Option<ObsArtifacts>), RunError> {
+    let plan = Run::prepare(config, &batch, arrivals.as_deref())?;
+    let mut run = Run::build(config, plan, batch, arrivals, setup).complete(None)?;
+    let Run { driver, engine } = &run;
+    let response_times = driver.response_times();
+    let result = RunResult {
+        summary: Summary::of_durations(&response_times),
+        response_times,
+        makespan: engine.now().since(SimTime::ZERO),
+        stats: MachineStats::capture(&driver.machine, engine.now()),
+        events: engine.events_processed(),
+    };
+    Ok((result, run.take_artifacts()))
 }
 
 /// A replicated experiment's aggregate: mean of per-replication scores

@@ -43,7 +43,7 @@ pub mod prelude {
     pub use crate::experiment::{
         order_batch, run_batch, run_batch_observed, run_batch_with_arrivals, run_experiment,
         run_replicated, BatchOrder, ExperimentConfig, ExperimentResult, ObsArtifacts,
-        ReplicatedResult, RunError, RunResult,
+        ReplicatedResult, Run, RunError, RunResult,
     };
     pub use crate::figures::{
         ablation_flow_control, ablation_gang, ablation_load, ablation_memory, ablation_mpl,

@@ -296,7 +296,7 @@ pub fn run_open_stream(
         StopRule::Horizon(t) => Some(t),
     };
     let Run { driver, engine } =
-        Run::build(cfg, plan, batch, Some(times), false).complete(horizon)?;
+        Run::build(cfg, plan, batch, Some(times), |_| {}).complete(horizon)?;
     let records: Vec<OpenJobRecord> = driver
         .entry_records()
         .iter()

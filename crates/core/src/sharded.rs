@@ -240,7 +240,7 @@ fn run_sequential(
     fallback: Option<&'static str>,
 ) -> Result<ShardedRunResult, RunError> {
     let n = batch.len();
-    let run = Run::build(config, plan, batch, None, false).complete(None)?;
+    let run = Run::build(config, plan, batch, None, |_| {}).complete(None)?;
     let merged = merge(vec![ShardOut::finish(run, ShardTiming::default())], n)?;
     Ok(ShardedRunResult {
         fallback,

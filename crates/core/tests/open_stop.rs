@@ -5,8 +5,8 @@
 //! reference leaves there, under both the fixed and the dynamic quantum.
 
 use parsched_core::prelude::*;
-use parsched_des::{Engine, RunOutcome, SimDuration, SimTime};
-use parsched_machine::{CpuExpressStats, Event, Machine, MachineStats, SettleReason, SystemNet};
+use parsched_des::{RunOutcome, SimDuration, SimTime};
+use parsched_machine::{CpuExpressStats, Machine, MachineStats, SettleReason};
 use parsched_topology::TopologyKind;
 use parsched_workload::cost::CostModel;
 use parsched_workload::synthetic::{synthetic_job, SyntheticParams};
@@ -42,16 +42,11 @@ fn stopped_run(
             &CostModel::default(),
         ));
     }
-    let plan = cfg.try_plan().expect("plan");
-    let mut machine = Machine::new(cfg.machine.clone(), SystemNet::from_plan(&plan));
-    machine.set_slice_reference(reference);
-    let mut driver = Driver::new(machine, plan, cfg.policy, cfg.rule, cfg.placement, batch)
-        .with_discipline(cfg.discipline)
-        .with_arrivals(arrivals);
-    let mut engine: Engine<Event> = Engine::new(cfg.queue);
-    engine.horizon = horizon;
-    driver.start(&mut engine);
-    assert_eq!(engine.run(&mut driver), RunOutcome::HorizonReached);
+    let plan = Run::prepare(&cfg, &batch, Some(&arrivals)).expect("plan");
+    let reference_path = |m: &mut Machine| m.set_slice_reference(reference);
+    let mut run = Run::build(&cfg, plan, batch, Some(arrivals), reference_path);
+    assert_eq!(run.until(horizon), RunOutcome::HorizonReached);
+    let Run { driver, engine } = run;
     (
         (
             format!("{:?}", driver.entry_records()),

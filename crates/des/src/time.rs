@@ -113,12 +113,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// This duration expressed in (floating-point) milliseconds.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// True if this is the zero duration.
     #[inline]
     pub fn is_zero(self) -> bool {

@@ -146,21 +146,6 @@ impl MachineMetrics {
         self.registry.set(self.credit_stalls, now, stalls as f64);
     }
 
-    /// Gauge handle for the VC-occupancy signal.
-    pub fn vc_occupancy_id(&self) -> GaugeId {
-        self.vc_occupancy
-    }
-
-    /// Gauge handle for the credit-stall counter.
-    pub fn credit_stalls_id(&self) -> GaugeId {
-        self.credit_stalls
-    }
-
-    /// Gauge handle for the open-system population.
-    pub fn in_system_id(&self) -> GaugeId {
-        self.in_system
-    }
-
     /// Gauge handle for a node's busy signal.
     pub fn cpu_busy_id(&self, node: u32) -> GaugeId {
         self.cpu_busy[node as usize]
@@ -174,11 +159,6 @@ impl MachineMetrics {
     /// Gauge handle for a node's ready-queue depth.
     pub fn ready_depth_id(&self, node: u32) -> GaugeId {
         self.ready_depth[node as usize]
-    }
-
-    /// Gauge handle for a link's occupancy.
-    pub fn link_busy_id(&self, chan: u32) -> GaugeId {
-        self.link_busy[chan as usize]
     }
 
     /// Gauge handle for a partition's MPL.

@@ -113,11 +113,6 @@ impl Mmu {
         }
     }
 
-    /// Is any request currently queued?
-    pub fn has_queue(&self) -> bool {
-        !self.queue.is_empty()
-    }
-
     /// Bytes currently allocated.
     pub fn used(&self) -> u64 {
         self.used

@@ -57,13 +57,6 @@ pub enum Op {
     },
 }
 
-impl Op {
-    /// True for operations that can block the process.
-    pub fn can_block(&self) -> bool {
-        !matches!(self, Op::Compute(_))
-    }
-}
-
 /// A process blueprint: its program plus its resident memory footprint.
 #[derive(Debug, Clone)]
 pub struct ProcSpec {

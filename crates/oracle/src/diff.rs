@@ -31,7 +31,7 @@
 
 use crate::engine::OracleEngine;
 use crate::scenario::Scenario;
-use parsched_core::{run_batch_sharded, Driver, ExperimentConfig};
+use parsched_core::{run_batch_sharded, Driver, ExperimentConfig, Run};
 use parsched_des::{Engine, EventScheduler, EventSeeder, Model, RunOutcome, SimDuration, SimTime};
 use parsched_machine::{
     Counters, CpuExpressStats, Event, ExpressStats, JobSpec, Machine, MachineStats, Switching,
@@ -154,6 +154,9 @@ enum Build {
     Eager,
 }
 
+/// Plan, build and check a run as [`Run`] does, but on the engine given:
+/// [`Run`] always starts the optimized engine, and the naive
+/// [`OracleEngine`] is the reference it is checked against.
 fn run_capture<Eng: DiffEngine<Event>>(
     mut engine: Eng,
     config: &ExperimentConfig,
@@ -161,26 +164,15 @@ fn run_capture<Eng: DiffEngine<Event>>(
     arrivals: &[SimTime],
     build: Build,
 ) -> Result<RunCapture, String> {
-    let plan = config.plan();
-    let net = SystemNet::from_plan(&plan);
-    let mut machine = Machine::new(config.machine.clone(), net);
+    let plan = Run::prepare(config, &batch, (!arrivals.is_empty()).then_some(arrivals))
+        .map_err(|e| e.to_string())?;
+    let mut machine = Machine::new(config.machine.clone(), SystemNet::from_plan(&plan));
     machine.set_flit_reference(build == Build::FlitReference);
     machine.set_slice_reference(build == Build::SliceReference);
     if build == Build::Eager {
         machine.build_all();
     }
-    let mut driver = Driver::new(
-        machine,
-        plan,
-        config.policy,
-        config.rule,
-        config.placement,
-        batch,
-    );
-    if let Some(mpl) = config.mpl {
-        driver = driver.with_mpl(mpl);
-    }
-    driver = driver.with_discipline(config.discipline);
+    let mut driver = Driver::for_config(config, machine, plan, batch);
     if !arrivals.is_empty() {
         driver = driver.with_arrivals(arrivals.to_vec());
     }

@@ -565,8 +565,10 @@ mod tests {
     fn partition_plans_are_always_realizable() {
         for case in 0..96 {
             let s = Scenario::generate(7, case);
-            // `plan` panics on unrealizable combinations.
-            let plan = s.config().plan();
+            let plan = s
+                .config()
+                .try_plan()
+                .unwrap_or_else(|e| panic!("case {case}: unrealizable partitioning: {e}"));
             assert_eq!(plan.system_size, s.system_size);
             if s.switching != Switching::Wormhole {
                 assert!(

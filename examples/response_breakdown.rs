@@ -8,8 +8,6 @@
 //! cargo run --release --example response_breakdown [static|ts]
 //! ```
 
-#![allow(clippy::field_reassign_with_default)]
-
 use parsched::machine::JobSummary;
 use parsched::machine::{JobId, SpanKind};
 use parsched::prelude::*;
@@ -27,31 +25,14 @@ fn main() {
     let cost = CostModel::default();
     let batch = paper_batch(App::MatMul, Arch::Adaptive, 16, &sizes, &cost);
 
-    // Drive the machine directly so we keep it (and its timeline) after the
-    // run.
-    let plan = PartitionPlan::equal(16, 16, TopologyKind::Ring).unwrap();
-    let mut machine_cfg = MachineConfig::default();
-    machine_cfg.record_timeline = true;
-    let machine = parsched::machine::Machine::new(
-        machine_cfg,
-        parsched::machine::SystemNet::from_plan(&plan),
-    );
-    let mut driver = Driver::new(
-        machine,
-        plan,
-        policy,
-        QuantumRule::default(),
-        Placement::RoundRobin,
-        batch,
-    );
-    let mut engine: Engine<parsched::machine::Event> = Engine::new(QueueKind::BinaryHeap);
-    driver.start(&mut engine);
-    assert_eq!(
-        engine.run(&mut driver),
-        RunOutcome::Drained,
-        "{}",
-        driver.diagnose()
-    );
+    // Drive the run lifecycle ourselves so we keep the machine (and its
+    // timeline) after the run.
+    let mut cfg = ExperimentConfig::paper(16, TopologyKind::Ring, policy);
+    cfg.machine.record_timeline = true;
+    let plan = Run::prepare(&cfg, &batch, None).expect("a realizable configuration");
+    let run = Run::build(&cfg, plan, batch, None, |_| {})
+        .complete(None)
+        .unwrap_or_else(|e| panic!("{e}"));
 
     println!(
         "{} on one 16-node ring (matmul adaptive batch):\n",
@@ -61,7 +42,7 @@ fn main() {
         "{:<22} {:>9} {:>8} {:>9} {:>9} {:>7}",
         "job", "response", "load", "own-cpu", "waiting", "cpu/rt"
     );
-    let m = &driver.machine;
+    let m = &run.driver.machine;
     for id in 0..m.jobs().len() {
         let s = JobSummary::capture(m, JobId(id as u32));
         let waiting = s

@@ -27,26 +27,14 @@ struct Outcome {
 /// reference path on; also returns the events processed, the slices the
 /// CPU express path skipped and the worms that went express.
 fn run(cfg: &ExperimentConfig, batch: &[JobSpec], reference: bool) -> (Outcome, u64, u64, u64) {
-    let plan = cfg.plan();
-    let mut machine = Machine::new(cfg.machine.clone(), SystemNet::from_plan(&plan));
-    machine.set_slice_reference(reference);
-    machine.set_flit_reference(reference);
-    let mut driver = Driver::new(
-        machine,
-        plan,
-        cfg.policy,
-        cfg.rule,
-        cfg.placement,
-        batch.to_vec(),
-    )
-    .with_discipline(cfg.discipline);
-    if let Some(mpl) = cfg.mpl {
-        driver = driver.with_mpl(mpl);
-    }
-    let mut engine = Engine::new(cfg.queue);
-    driver.start(&mut engine);
-    assert_eq!(engine.run(&mut driver), RunOutcome::Drained);
-    assert!(driver.all_done(), "{}", driver.diagnose());
+    let plan = Run::prepare(cfg, batch, None).expect("realizable configuration");
+    let reference_paths = |m: &mut Machine| {
+        m.set_slice_reference(reference);
+        m.set_flit_reference(reference);
+    };
+    let Run { driver, engine } = Run::build(cfg, plan, batch.to_vec(), None, reference_paths)
+        .complete(None)
+        .unwrap_or_else(|e| panic!("{e}"));
     let m = &driver.machine;
     let outcome = Outcome {
         response_times: driver.response_times(),

@@ -75,23 +75,11 @@ fn memory_is_conserved_end_to_end() {
     let batch: Vec<JobSpec> = (0..6)
         .map(|i| sort_job(format!("s{i}"), 4000 + i * 500, 8, &cost))
         .collect();
-    let plan = PartitionPlan::equal(16, 8, TopologyKind::Ring).unwrap();
-    let machine = parsched::machine::Machine::new(
-        parsched::machine::MachineConfig::default(),
-        parsched::machine::SystemNet::from_plan(&plan),
-    );
-    let mut driver = Driver::new(
-        machine,
-        plan,
-        PolicyKind::TimeSharing,
-        QuantumRule::default(),
-        Placement::RoundRobin,
-        batch,
-    );
-    let mut engine: Engine<parsched::machine::Event> = Engine::new(QueueKind::BinaryHeap);
-    driver.start(&mut engine);
-    assert_eq!(engine.run(&mut driver), RunOutcome::Drained);
-    assert!(driver.all_done());
+    let cfg = ExperimentConfig::paper(8, TopologyKind::Ring, PolicyKind::TimeSharing);
+    let plan = Run::prepare(&cfg, &batch, None).unwrap();
+    let Run { driver, .. } = Run::build(&cfg, plan, batch, None, |_| {})
+        .complete(None)
+        .unwrap();
     for n in 0..driver.machine.node_count() {
         let node = driver.machine.node(n as u32);
         assert_eq!(node.mmu.used(), 0, "node {n} leaked memory");
@@ -358,29 +346,16 @@ fn invariants_hold_with_recording_off_and_on() {
     ] {
         let batch = paper_batch(App::MatMul, Arch::Adaptive, p, &sizes, &cost);
 
-        // Recording off: drive the machine directly, check its state.
-        let plan = PartitionPlan::equal(16, p, kind).unwrap();
-        let machine = parsched::machine::Machine::new(
-            parsched::machine::MachineConfig::default(),
-            parsched::machine::SystemNet::from_plan(&plan),
-        );
-        let mut driver = Driver::new(
-            machine,
-            plan,
-            policy,
-            QuantumRule::default(),
-            Placement::RoundRobin,
-            batch.clone(),
-        );
-        let mut engine: Engine<parsched::machine::Event> = Engine::new(QueueKind::default());
-        driver.start(&mut engine);
-        assert_eq!(engine.run(&mut driver), RunOutcome::Drained);
-        assert!(driver.all_done());
+        // Recording off: a bare run, checked through its machine.
+        let cfg = ExperimentConfig::paper(p, kind, policy);
+        let plan = Run::prepare(&cfg, &batch, None).unwrap();
+        let Run { driver, engine } = Run::build(&cfg, plan, batch.clone(), None, |_| {})
+            .complete(None)
+            .unwrap();
         invariants::check_message_conservation(&driver.machine);
         invariants::check_work_conservation(&driver.machine, engine.now().since(SimTime::ZERO));
 
         // Recording on: the same configuration instrumented.
-        let cfg = ExperimentConfig::paper(p, kind, policy);
         let (result, obs) = run_batch_observed(&cfg, batch).unwrap();
         invariants::check_event_stream(&obs.events);
         invariants::check_fcfs_admission(&obs.events);
@@ -412,7 +387,8 @@ fn gang_with_open_arrivals_completes() {
 /// Every front door runs the same lifecycle, so on one shard-eligible
 /// configuration and batch they agree bit for bit: `run_batch`,
 /// `run_batch_observed`, `run_batch_with_arrivals` with every arrival at
-/// 0, and `run_batch_sharded` at K = 1 and at K = 2, whose four jobs land
+/// 0, the public lifecycle `Run::prepare` → `build` → `complete`, and
+/// `run_batch_sharded` at K = 1 and at K = 2, whose four jobs land
 /// on partitions 0..=3, all in shard 0 of eight partitions, so it takes a
 /// sequential exit. `run_open_stream` under `StopRule::Completions`
 /// finishes the same synthetic jobs at the same instants as
@@ -446,6 +422,17 @@ fn front_doors_agree_bit_for_bit() {
         assert_eq!(r.makespan, front.makespan, "{door}");
         assert_eq!(r.events, front.events, "{door}");
     }
+    let plan = Run::prepare(&cfg, &batch, None).unwrap();
+    let Run { driver, engine } = Run::build(&cfg, plan, batch.clone(), None, |_| {})
+        .complete(None)
+        .unwrap();
+    assert_eq!(driver.response_times(), front.response_times, "lifecycle");
+    assert_eq!(
+        engine.now().since(SimTime::ZERO),
+        front.makespan,
+        "lifecycle"
+    );
+    assert_eq!(engine.events_processed(), front.events, "lifecycle");
     for k in [1, 2] {
         let r = run_batch_sharded(&cfg, batch.clone(), k).unwrap();
         assert_eq!(r.shards, 1, "k={k}");
