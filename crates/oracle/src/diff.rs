@@ -164,8 +164,8 @@ fn run_capture<Eng: DiffEngine<Event>>(
     arrivals: &[SimTime],
     build: Build,
 ) -> Result<RunCapture, String> {
-    let plan = Run::prepare(config, &batch, (!arrivals.is_empty()).then_some(arrivals))
-        .map_err(|e| e.to_string())?;
+    let arrivals = (!arrivals.is_empty()).then_some(arrivals);
+    let plan = Run::prepare(config, &batch, arrivals).map_err(|e| e.to_string())?;
     let mut machine = Machine::new(config.machine.clone(), SystemNet::from_plan(&plan));
     machine.set_flit_reference(build == Build::FlitReference);
     machine.set_slice_reference(build == Build::SliceReference);
@@ -173,7 +173,7 @@ fn run_capture<Eng: DiffEngine<Event>>(
         machine.build_all();
     }
     let mut driver = Driver::for_config(config, machine, plan, batch);
-    if !arrivals.is_empty() {
+    if let Some(arrivals) = arrivals {
         driver = driver.with_arrivals(arrivals.to_vec());
     }
     engine.set_max_events(config.machine.max_events);
