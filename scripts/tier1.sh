@@ -3,10 +3,11 @@
 # and the root package's format checks, rustdoc with warnings denied, lint
 # wall, and the full workspace test suite. The suite includes the root
 # `tests/perf_goldens.rs`, which pins the simulated mean of every
-# multi-partition cell bit-exactly — the 64-node shard_scale machine, the 1024-node t1k cells and the t4k, t16k
-# and t64k wormhole-vs-store-and-forward relay cells, each run at 1, 2 and
-# 4 shards against one golden per family (fault plans default to empty,
-# so this also pins that the fault layer costs nothing when unused) — and
+# multi-partition cell bit-exactly — the 64-node shard_scale machine, the
+# 1024-node t1k cells and the t4k, t16k and t64k
+# wormhole-vs-store-and-forward relay cells, each run at 1, 2 and 4 shards
+# against one golden per family (fault plans default to empty, so this
+# also pins that the fault layer costs nothing when unused) — and
 # `tests/golden_f3.rs`, the full Figure 3 grid. Then: a
 # fault-injection smoke gate (one crash and one flaky-link scenario per
 # policy class, run twice with the oracle's invariant checkers on and
